@@ -37,18 +37,6 @@ detectable, so this pass runs in CI over ``src/repro``:
     Order-free reductions (``min``/``max``/``sum``/``any``/``all``) over
     such a dict are exempt — their result cannot depend on order.
 
-``numpy-reduction``
-    An order-sensitive numpy accumulation (``.sum()``, ``np.dot``,
-    ``np.add.reduce``, ...) inside a cycle-kernel module.  Floating-point
-    accumulation order changes the result, and numpy is free to reorder
-    (pairwise summation, SIMD lanes), so a kernel reduction is only
-    deterministic when its operands make it permutation-invariant — e.g.
-    an exact integer sum of disjoint powers of two.  Such call sites are
-    exempted by stating the argument in a ``permutation-invariant``
-    comment on or just above the call; the audit flags every unexplained
-    site.  Order-free ufuncs (``np.maximum.reduceat``, ...) are not
-    flagged — ``min``/``max``-style reductions cannot depend on order.
-
 ``mutable-default``
     A mutable default argument (list/dict/set literal or constructor) is
     shared across calls — state leaks between simulations.
@@ -81,7 +69,6 @@ _KERNEL_MODULES = (
     "core/flit_level.py",
     "sim/engine.py",
     "sim/soa.py",
-    "sim/vectorized.py",
     "sim/kernels.py",
 )
 #: Builtins whose result is invariant under permutation of their (pure)
@@ -105,20 +92,6 @@ _KERNEL_SET_ATTRS = frozenset(
 #: Known kernel dicts keyed by identity-hashed objects (InputVC/OutputVC):
 #: their iteration order is insertion history, not a stable key order.
 _KERNEL_IDENTITY_DICT_ATTRS = frozenset({"black_slots", "gray_slots"})
-#: Order-sensitive numpy accumulators, method form (``arr.sum(...)``).
-_NUMPY_REDUCTION_METHODS = frozenset({"sum", "prod", "cumsum", "cumprod", "dot"})
-#: ... and function form (``np.sum(arr)``).
-_NUMPY_REDUCTION_FUNCS = frozenset(
-    f"{mod}.{fn}"
-    for mod in ("np", "numpy")
-    for fn in ("sum", "prod", "cumsum", "cumprod", "dot", "matmul", "einsum")
-)
-#: Accumulating-ufunc prefixes (``np.add.reduce``/``.reduceat``/...);
-#: order-free ufuncs like ``np.maximum`` are deliberately absent.
-_NUMPY_REDUCTION_UFUNC_PREFIXES = ("np.add.", "numpy.add.", "np.multiply.", "numpy.multiply.")
-#: Comment marker exempting one audited reduction call site: the author
-#: must state *why* the reduction cannot depend on accumulation order.
-_NUMPY_REDUCTION_EXEMPT_MARKER = "permutation-invariant"
 
 
 @dataclass(frozen=True)
@@ -147,15 +120,13 @@ def _dotted(node: ast.AST) -> str | None:
 
 
 class _Visitor(ast.NodeVisitor):
-    def __init__(self, path: str, rel: str, lines: list[str] | None = None):
+    def __init__(self, path: str, rel: str):
         self.path = path
         self.findings: list[Finding] = []
         norm = rel.replace(os.sep, "/")
         self.allow_random = norm.endswith(_RNG_MODULE)
         self.allow_time = any(norm.endswith(s) for s in _TIME_ALLOWLIST)
         self.is_kernel = any(norm.endswith(s) for s in _KERNEL_MODULES)
-        #: Source lines, for comment-based exemptions (numpy-reduction).
-        self._lines = lines or []
         #: Comprehension nodes that are direct arguments of an order-free
         #: reducer (marked by ``visit_Call`` before descending into them).
         self._reduced: set[int] = set()
@@ -243,39 +214,7 @@ class _Visitor(ast.NodeVisitor):
                         arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)
                     ):
                         self._reduced.add(id(arg))
-        self._check_numpy_reduction(node, name)
         self.generic_visit(node)
-
-    def _check_numpy_reduction(self, node: ast.Call, name: str | None) -> None:
-        """Audit order-sensitive numpy accumulations in kernel modules."""
-        if not self.is_kernel:
-            return
-        flagged = None
-        if name is not None and (
-            name in _NUMPY_REDUCTION_FUNCS
-            or name.startswith(_NUMPY_REDUCTION_UFUNC_PREFIXES)
-        ):
-            flagged = name
-        elif (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _NUMPY_REDUCTION_METHODS
-        ):
-            # Method form on a computed base, e.g. ``(a << b).sum(axis=1)``.
-            flagged = f".{node.func.attr}()"
-        if flagged is None or self._reduction_exempt(node.lineno):
-            return
-        self._add(
-            node, "numpy-reduction",
-            f"kernel reduction {flagged} depends on accumulation order; "
-            f"justify it in a '{_NUMPY_REDUCTION_EXEMPT_MARKER}' comment "
-            "on or just above the call, or rewrite with an order-free "
-            "reduction",
-        )
-
-    def _reduction_exempt(self, lineno: int) -> bool:
-        """A ``permutation-invariant`` comment on or <= 2 lines above."""
-        window = self._lines[max(0, lineno - 3):lineno]
-        return any(_NUMPY_REDUCTION_EXEMPT_MARKER in line for line in window)
 
     # -- set iteration in the kernel ---------------------------------------------
 
@@ -371,9 +310,7 @@ class _Visitor(ast.NodeVisitor):
 def lint_source(source: str, path: str, rel: str | None = None) -> list[Finding]:
     """Lint one module's source text; ``rel`` locates it for allowlists."""
     tree = ast.parse(source, filename=path)
-    visitor = _Visitor(
-        path, rel if rel is not None else path, source.splitlines()
-    )
+    visitor = _Visitor(path, rel if rel is not None else path)
     visitor.visit(tree)
     return visitor.findings
 

@@ -97,11 +97,6 @@ from .state import RingContext
 
 __all__ = ["WormBubbleFlowControl"]
 
-# Back-compat aliases: the decision kernels moved to ``repro.sim.kernels``
-# (the engine backend seam); both simulation backends call them from there.
-_idle_rotation_step = idle_rotation_step
-_displacement_pass = displacement_pass
-
 
 class _CounterDict(dict):
     """Int-valued dict that tracks its number of nonzero entries.
@@ -213,7 +208,7 @@ class RingTokenLane:
                 index = {key: 0}
                 s = start
                 while True:
-                    nxt, m = _idle_rotation_step(s)
+                    nxt, m = idle_rotation_step(s)
                     nxt_key = tuple(map(id, nxt))
                     if nxt_key in index:
                         entry = (states, cum, index[nxt_key], m)
@@ -297,7 +292,7 @@ class WormBubbleFlowControl(FlowControl):
         self._lane_list: list[RingTokenLane] = []
         self._traj_cache: dict[tuple, tuple] = {}
         #: Displacement-pass memo shared by every lane: packed
-        #: (k, colors, bubbles) vector -> ``_displacement_pass`` result.
+        #: (k, colors, bubbles) vector -> ``displacement_pass`` result.
         self._pass_memo: dict[tuple[int, int, int], tuple] = {}
         #: Deterministic scan rank of each injection channel (the CI map's
         #: insertion order); lets ``_reclaim`` visit only nonzero entries
@@ -725,7 +720,7 @@ class WormBubbleFlowControl(FlowControl):
                     # Unbounded only in adversarial state spaces; a clear
                     # costs one recompute per live vector.
                     memo.clear()
-                memo[vec] = entry = _displacement_pass(k, ckey, lane.bubble_mask)
+                memo[vec] = entry = displacement_pass(k, ckey, lane.bubble_mask)
             writes, new_key, disp, fwd = entry
             # A pass that moved tokens changed the vector (rerun next
             # cycle); a no-move pass settles the ring until a color write

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-from ..sim.kernels import rr_pick_index, rr_rotation
-
 __all__ = ["RoundRobinArbiter"]
 
 T = TypeVar("T")
@@ -19,9 +17,8 @@ T = TypeVar("T")
 class RoundRobinArbiter:
     """Grants one of the current requesters, rotating priority each grant.
 
-    The selection rule lives in :mod:`repro.sim.kernels` (the SoA backend
-    keeps the pointers in flat arrays and calls the same kernels); this
-    class is the object engine's stateful wrapper around it.
+    The rule is ``pointer % len(requesters)``; the SoA backend keeps its
+    pointers in flat arrays and applies the same modulo inline.
     """
 
     __slots__ = ("_ptr",)
@@ -33,7 +30,7 @@ class RoundRobinArbiter:
         """Pick one element; priority rotates so every requester is served."""
         if not requesters:
             return None
-        choice = requesters[rr_pick_index(self._ptr, len(requesters))]
+        choice = requesters[self._ptr % len(requesters)]
         self._ptr += 1
         return choice
 
@@ -41,6 +38,6 @@ class RoundRobinArbiter:
         """A copy of ``items`` rotated by the current pointer (no grant)."""
         if not items:
             return []
-        offset = rr_rotation(self._ptr, len(items))
+        offset = self._ptr % len(items)
         self._ptr += 1
         return list(items[offset:]) + list(items[:offset])

@@ -181,7 +181,7 @@ LENGTH_DISTRIBUTIONS = Registry(
 #: caller falls back to ``"object"``.
 ENGINE_BACKENDS = Registry(
     "engine backend",
-    ("repro.sim.engine", "repro.sim.soa", "repro.sim.vectorized"),
+    ("repro.sim.engine", "repro.sim.soa"),
 )
 
 

@@ -1,10 +1,10 @@
 """Backend-neutral per-cycle decision kernels.
 
 The engine backend seam: every *decision* a router or flow-control scheme
-makes each cycle — arbiter rotation, downstream admission, WBFC injection
-verdicts, worm-bubble displacement — lives here as a pure function of
-plain values, shared by the object engine (``repro.sim.engine`` driving
-``repro.network.router``) and the vectorized SoA backend
+makes each cycle — downstream admission, WBFC injection verdicts,
+worm-bubble displacement — lives here as a pure function of plain
+values, shared by the object engine (``repro.sim.engine`` driving
+``repro.network.router``) and the structure-of-arrays backend
 (``repro.sim.soa``).  Bit-identity between backends reduces to both
 calling these kernels on the same inputs in the same order; the object
 graph and the flat arrays are just two *state layouts* around them.
@@ -20,8 +20,6 @@ __all__ = [
     "ALLOW",
     "MARK",
     "DENY",
-    "rr_pick_index",
-    "rr_rotation",
     "ovc_admission",
     "mp_table",
     "wbfc_transit_allows",
@@ -29,7 +27,6 @@ __all__ = [
     "flit_injection_verdict",
     "idle_rotation_step",
     "displacement_pass",
-    "displacement_pass_batch",
 ]
 
 #: Injection-verdict codes shared by the WBFC kernels: the caller applies
@@ -42,19 +39,6 @@ DENY = -1
 #: must be deferred (see :func:`idle_rotation_step`) but not re-resolved on
 #: every displacement call.
 _CODE_TO_COLOR = None
-
-
-# -- arbiters ----------------------------------------------------------------
-
-
-def rr_pick_index(ptr: int, n: int) -> int:
-    """Index a round-robin pointer grants among ``n`` requesters."""
-    return ptr % n
-
-
-def rr_rotation(ptr: int, n: int) -> int:
-    """Rotation offset a round-robin pointer applies to ``n`` items."""
-    return ptr % n
 
 
 # -- downstream admission (Equations 1-3) ------------------------------------
@@ -300,83 +284,3 @@ def displacement_pass(k: int, color_key: int, bubble_mask: int) -> tuple:
         disp,
         fwd,
     )
-
-
-def displacement_pass_batch(k: int, color_keys, bubble_masks) -> list[tuple]:
-    """Vectorized :func:`displacement_pass` over many same-size rings.
-
-    ``color_keys`` and ``bubble_masks`` are integer ``np.ndarray``s of
-    equal length; returns one :func:`displacement_pass`-format entry per
-    lane, byte-identical to the scalar kernel (the differential test in
-    ``tests/sim/test_backend.py`` pins this).  The scans walk ring
-    positions in the same ascending order as the scalar kernel — the
-    lanes are mutually independent, so vectorizing across them cannot
-    reorder anything.  Used by the numpy backend to fill the displacement
-    memo for all missing vectors in one call.
-    """
-    import numpy as np  # deferred: keep this module importable without numpy
-
-    from ..core.colors import CODE_TO_COLOR  # see idle_rotation_step
-
-    keys = np.asarray(color_keys, dtype=np.int64)
-    shifts = 2 * np.arange(k, dtype=np.int64)
-    codes = (keys[:, None] >> shifts) & 3
-    bub = ((np.asarray(bubble_masks, dtype=np.int64)[:, None] >> np.arange(k)) & 1).astype(bool)
-    moved = np.zeros_like(bub)
-    wrote = np.zeros_like(bub)
-    lanes = keys.shape[0]
-    disp = np.zeros(lanes, dtype=np.int64)
-    fwd = np.zeros(lanes, dtype=np.int64)
-    for i in range(k):
-        j = i + 1 if i + 1 < k else 0
-        sel = (
-            ~moved[:, i]
-            & ~moved[:, j]
-            & (codes[:, j] == 2)
-            & bub[:, j]
-            & bub[:, i]
-            & (codes[:, i] != 2)
-        )
-        if not sel.any():
-            continue
-        codes[sel, j] = codes[sel, i]
-        codes[sel, i] = 2
-        moved[sel, i] = moved[sel, j] = True
-        wrote[sel, i] = wrote[sel, j] = True
-        disp[sel] += 1
-    for i in range(k):
-        j = i + 1 if i + 1 < k else 0
-        prev = i - 1 if i > 0 else k - 1
-        sel = (
-            ~moved[:, i]
-            & ~moved[:, j]
-            & (codes[:, i] != 0)
-            & bub[:, i]
-            & bub[:, j]
-            & (codes[:, j] == 0)
-            & ~bub[:, prev]
-        )
-        if not sel.any():
-            continue
-        codes[sel, j] = codes[sel, i]
-        codes[sel, i] = 0
-        moved[sel, i] = moved[sel, j] = True
-        wrote[sel, i] = wrote[sel, j] = True
-        fwd[sel] += 1
-    # Exact integer sum of disjoint powers of two: permutation-invariant,
-    # so this reduction is exempt from the kernel ordering audit.
-    new_keys = (codes << shifts).sum(axis=1)
-    entries = []
-    for lane in range(lanes):
-        positions = np.flatnonzero(wrote[lane])
-        entries.append(
-            (
-                tuple(
-                    (int(p), CODE_TO_COLOR[int(codes[lane, p])]) for p in positions
-                ),
-                int(new_keys[lane]),
-                int(disp[lane]),
-                int(fwd[lane]),
-            )
-        )
-    return entries

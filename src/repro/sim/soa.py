@@ -8,8 +8,7 @@ dispatch: the hot loops touch small Python lists of ints instead of
 chasing attributes through ``__slots__`` objects and property setters,
 and the WBFC ring color state packs into one integer per ring (2 bits
 per buffer), so the displacement pass is a memoized pure-integer kernel
-call.  The :mod:`repro.sim.vectorized` backend subclasses this engine
-and swaps the hot arrays for numpy ndarrays with masked phase selection.
+call.
 
 **Bit-identity contract.**  For every supported configuration this engine
 produces results byte-for-byte identical to the object engine: the same
@@ -266,24 +265,15 @@ class SoAEngine:
         self._outp = [ivc.out_port for ivc in self._ivcs]
         self._outv = [ivc.out_vc for ivc in self._ivcs]
         self._rcand = [ivc.route_candidates for ivc in self._ivcs]
-        # ``va_first_request`` uses a -1 sentinel for "never requested" so
-        # the numpy subclass can hold it in an integer plane; ``_flush``
-        # maps it back to the object graph's ``None``.
-        self._vafr = [
-            -1 if ivc.va_first_request is None else ivc.va_first_request
-            for ivc in self._ivcs
-        ]
+        self._vafr = [ivc.va_first_request for ivc in self._ivcs]
         self._octx = [ivc.occupant_ctx for ivc in self._ivcs]
         self._cred = [0] * n
         self._alloc: list = [None] * n
-        self._allocb = [False] * n
         for i, ivc in enumerate(self._ivcs):
             feeder = ivc.feeder
             if feeder is not None:
                 self._cred[i] = feeder.credits
-                allocated = feeder.allocated_to
-                self._alloc[i] = allocated
-                self._allocb[i] = allocated is not None
+                self._alloc[i] = feeder.allocated_to
 
         self._rc = {i for i in range(n) if self._st[i] == 1}
         self._va = {i for i in range(n) if self._st[i] == 2}
@@ -376,31 +366,28 @@ class SoAEngine:
         Afterwards the objects are exactly the state an object-engine run
         would hold at this cycle boundary: snapshots, restores, and direct
         inspection all see the contract state.  The arrays stay valid (this
-        only reads them), so ticking may continue after a flush.  Numeric
-        fields pass through ``int()`` so the numpy subclass never leaks
-        ndarray scalars into the object graph or its snapshots.
+        only reads them), so ticking may continue after a flush.
         """
         for idx, ivc in enumerate(self._ivcs):
             ivc.flits = self._buf[idx]
             ivc._owner = self._own[idx]
             ivc._state = _ST_ENUM[self._st[idx]]
-            ivc.stage_ready = int(self._ready[idx])
+            ivc.stage_ready = self._ready[idx]
             out_port = self._outp[idx]
             ivc.out_port = out_port
             ivc.out_vc = self._outv[idx]
             ivc.route_candidates = self._rcand[idx]
-            vafr = self._vafr[idx]
-            ivc.va_first_request = int(vafr) if vafr >= 0 else None
+            ivc.va_first_request = self._vafr[idx]
             ivc.occupant_ctx = self._octx[idx]
             feeder = ivc.feeder
             if feeder is not None:
-                feeder.credits = int(self._cred[idx])
+                feeder.credits = self._cred[idx]
                 feeder.allocated_to = self._alloc[idx]
 
         fc = self._fc
         if self._fc_kind == "wbfc":
             for li, lane in enumerate(fc._lane_list):
-                key = int(self._rk[li])
+                key = self._rk[li]
                 for pos, b in enumerate(lane.buffers):
                     b._color = CODE_TO_COLOR[(key >> (pos * 2)) & 3]
             fc._recount_lanes()
@@ -541,12 +528,10 @@ class SoAEngine:
         if events:
             cred = self._cred
             alloc = self._alloc
-            allocb = self._allocb
             for idx, is_tail in events:
                 cred[idx] += 1
                 if is_tail:
                     alloc[idx] = None
-                    allocb[idx] = False
         events = self._arr.pop(cycle, None)
         if events:
             deliver = self._deliver
@@ -679,7 +664,7 @@ class SoAEngine:
                 self._rc.discard(i)
                 st[i] = 2
                 self._va.add(i)
-                self._vafr[i] = -1
+                self._vafr[i] = None
 
     def _route_aux(self, i: int, escape: int) -> None:
         """Precompute the VA-time derivatives of a fresh escape route.
@@ -713,16 +698,7 @@ class SoAEngine:
         fc = self._fc
         if fc.reclaim_banked_ci and fc.ci.nonzero_keys:
             self._reclaim_wbfc(cycle)
-        self._displacement_sweep(cycle)
-
-    def _displacement_sweep(self, cycle: int) -> None:
-        """Run the memoized displacement kernel over every dirty lane.
-
-        Split from ``_pre_cycle_wbfc`` so the numpy backend can pre-fill
-        the memo for all missing vectors with one batched kernel call and
-        then reuse this loop unchanged.
-        """
-        fc = self._fc
+        # Memoized displacement kernel over every dirty lane.
         rk = self._rk
         rbub = self._rbub
         rocc = self._rocc
@@ -858,7 +834,7 @@ class SoAEngine:
         rcand = self._rcand
         va_dbase = self._va_dbase
         va_inring = self._va_inring
-        allocb = self._allocb
+        alloc = self._alloc
         cred = self._cred
         cap = self._cap
         atomic = self._atomic
@@ -895,7 +871,7 @@ class SoAEngine:
             for t in range(m):
                 t += offset
                 i = requesters[t if t < m else t - m]
-                if vafr[i] < 0:
+                if vafr[i] is None:
                     vafr[i] = cycle
                 escape = rcand[i][1]
                 if escape == 0:
@@ -921,7 +897,7 @@ class SoAEngine:
                 # Single static escape VC (WBFC / flit-level): inline the
                 # admission test and the in-ring WHITE fast path.
                 didx = dbase
-                if allocb[didx]:
+                if alloc[didx] is not None:
                     continue
                 if atomic:
                     if cred[didx] != cap[didx]:
@@ -943,36 +919,6 @@ class SoAEngine:
                 elif allow(packet, node, didx, False, cycle):
                     grant(node, i, packet, escape, 0, didx, True, False, cycle)
 
-    def _va_consider(self, node: int, i: int, cycle: int) -> None:
-        """Attempt allocation for one ready waiting VC.
-
-        Semantically the body of ``_va_phase``'s rotated loop (which keeps
-        an inlined copy for speed); the numpy backend's vectorized VA calls
-        this only for the few requesters its admission prefilter could not
-        decide.  ``va_first_request`` must already be stamped.
-        """
-        buf = self._buf
-        rcand = self._rcand
-        escape = rcand[i][1]
-        if escape == 0:
-            self._grant(node, i, buf[i][0].packet, 0, 0, -1, False, False, cycle)
-            return
-        dbase = int(self._va_dbase[i])
-        if dbase < 0:
-            raise RuntimeError(
-                f"escape route of packet {buf[i][0].packet.pid} "
-                f"leaves node {node} through unconnected port {escape}"
-            )
-        in_ring = bool(self._va_inring[i])
-        packet = buf[i][0].packet
-        if (
-            self._has_adaptive
-            and not in_ring
-            and self._try_adaptive(node, i, packet, rcand[i][0], cycle)
-        ):
-            return
-        self._try_escape(node, i, packet, escape, dbase, in_ring, cycle)
-
     def _try_adaptive(
         self, node: int, i: int, packet, adaptive_ports, cycle: int
     ) -> bool:
@@ -981,7 +927,7 @@ class SoAEngine:
         out_base = self._out_base
         cred = self._cred
         cap = self._cap
-        allocb = self._allocb
+        alloc = self._alloc
         atomic = self._atomic
         V = self._V
         nb = node * self._P
@@ -1000,7 +946,7 @@ class SoAEngine:
                 continue
             for vc in range(self._nev, V):
                 didx = dbase + vc
-                if allocb[didx]:
+                if alloc[didx] is not None:
                     continue
                 if atomic:
                     if cred[didx] != cap[didx]:
@@ -1028,13 +974,13 @@ class SoAEngine:
         choices = self._esc_static
         if choices is None:
             choices = fc.escape_vc_choices(packet, node, escape, in_ring)
-        allocb = self._allocb
+        alloc = self._alloc
         cred = self._cred
         cap = self._cap
         atomic = self._atomic
         for vc in choices:
             didx = dbase + vc
-            if allocb[didx]:
+            if alloc[didx] is not None:
                 continue
             if atomic:
                 if cred[didx] != cap[didx]:
@@ -1170,7 +1116,6 @@ class SoAEngine:
             if ctx is not None and not staying:
                 self._leave_ring(packet, node)
             self._alloc[didx] = packet
-            self._allocb[didx] = True
             if self._atomic:
                 self._own[didx] = packet
                 lane = self._lane_of[didx]
@@ -1192,7 +1137,7 @@ class SoAEngine:
             key = fc._owned_keys.pop(packet.pid, None)
             if key is not None and fc.marker_owner.get(key) == packet.pid:
                 del fc.marker_owner[key]
-        wait = cycle - int(self._vafr[i])
+        wait = cycle - self._vafr[i]
         port = (i // self._V) % self._P
         if wait > 0 and (port == 0 or (out_port != 0 and out_port != port)):
             packet.injection_delay += wait
@@ -1382,7 +1327,7 @@ class SoAEngine:
             self._ejq[when].append((idx // self._PV, flit))
             didx = -1
         else:
-            didx = int(self._odidx[idx])
+            didx = self._odidx[idx]
             if self._cred[didx] <= 0:
                 raise RuntimeError("sent a flit without a credit")
             self._cred[didx] -= 1
@@ -1401,7 +1346,6 @@ class SoAEngine:
                 # Non-atomic: downstream accepts the next packet as soon as
                 # this tail is on the wire.
                 self._alloc[didx] = None
-                self._allocb[didx] = False
             if local:
                 self.network.backlog_packets -= 1
                 self._release(idx)
@@ -1471,7 +1415,7 @@ class SoAEngine:
         self._outp[idx] = None
         self._outv[idx] = None
         self._odidx[idx] = -1
-        self._vafr[idx] = -1
+        self._vafr[idx] = None
         self._octx[idx] = None
 
     def _advance_front(self, idx: int, cycle: int) -> None:
@@ -1493,7 +1437,7 @@ class SoAEngine:
         self._outp[idx] = None
         self._outv[idx] = None
         self._odidx[idx] = -1
-        self._vafr[idx] = -1
+        self._vafr[idx] = None
         # route_candidates deliberately kept stale, as in the object engine.
 
     # -- watchdog --------------------------------------------------------------

@@ -11,8 +11,9 @@ Zero-cost contract
 Detailed (per-flit / per-token) probe sites are guarded by
 ``if probes.active:`` — with no detailed subscriber the simulation pays a
 single attribute test per site and dispatches nothing, keeping results
-bit-identical and within the 2% overhead budget guarded by
-``benchmarks/perf/bench_core.py --telemetry-guard``.  The one exception is
+bit-identical.  What attached sinks cost is measured by the perf ledger
+(``benchmarks/ledger``) as ``telemetry.probe_overhead_frac`` on the
+``torus8_wbfc1_probed`` workload.  The one exception is
 ``packet_ejected``: it fires unconditionally (it replaces the old
 ``Network.ejection_listeners`` seam and the core metrics collector always
 listens), and it is per-packet, not per-flit.

@@ -60,10 +60,10 @@ class SyntheticTraffic:
     def step(self, cycle: int, network: Network) -> None:
         # RNG-stream-position contract: every ticked cycle consumes exactly
         # one Bernoulli row (plus per-packet destination/length draws), in
-        # cycle order.  Engine backends (object, soa, numpy) all call this
+        # cycle order.  Both engine backends (object, soa) call this
         # same method once per cycle, so a mid-run backend handoff resumes
         # at the identical stream position; only ``fast_forward`` (rejected
-        # by the array backends with a witness) draws a different stream.
+        # by the array backend with a witness) draws a different stream.
         if self.packet_probability <= 0:
             return
         stash = self._stash

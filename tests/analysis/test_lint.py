@@ -161,68 +161,6 @@ class TestIdentityDictIterationRule:
         assert rules(src, rel=self.KERNEL) == ["set-iteration"]
 
 
-class TestNumpyReductionRule:
-    KERNEL = "repro/sim/vectorized.py"
-
-    def test_method_sum_flagged_in_kernel(self):
-        src = "new_keys = (codes << shifts).sum(axis=1)\n"
-        assert rules(src, rel=self.KERNEL) == ["numpy-reduction"]
-
-    def test_function_forms_flagged_in_kernel(self):
-        assert rules("t = np.sum(a)\n", rel=self.KERNEL) == ["numpy-reduction"]
-        assert rules("t = np.dot(a, b)\n", rel=self.KERNEL) == ["numpy-reduction"]
-        assert rules("t = np.add.reduce(a)\n", rel=self.KERNEL) == [
-            "numpy-reduction"
-        ]
-        assert rules("t = np.add.reduceat(a, idx)\n", rel=self.KERNEL) == [
-            "numpy-reduction"
-        ]
-
-    def test_exemption_comment_clears_the_site(self):
-        """A permutation-invariant justification on or just above the call
-        exempts exactly that site."""
-        src = (
-            "# Exact integer sum of disjoint powers of two:"
-            " permutation-invariant.\n"
-            "new_keys = (codes << shifts).sum(axis=1)\n"
-        )
-        assert rules(src, rel=self.KERNEL) == []
-        src = "t = a.sum()  # permutation-invariant: exact int64 sum\n"
-        assert rules(src, rel=self.KERNEL) == []
-
-    def test_exemption_does_not_leak_downward(self):
-        """The comment window is tight: a justification more than two
-        lines up does not cover the call."""
-        src = (
-            "# permutation-invariant\n"
-            "x = 1\n"
-            "y = 2\n"
-            "z = 3\n"
-            "t = a.sum()\n"
-        )
-        assert rules(src, rel=self.KERNEL) == ["numpy-reduction"]
-
-    def test_order_free_ufuncs_not_flagged(self):
-        """max-style reductions cannot depend on accumulation order."""
-        src = "hot = np.flatnonzero(np.maximum.reduceat(interesting, first))\n"
-        assert rules(src, rel=self.KERNEL) == []
-        assert rules("m = np.minimum.reduce(a)\n", rel=self.KERNEL) == []
-
-    def test_builtin_sum_not_flagged(self):
-        """The builtin over a list is the object engine's idiom; only
-        numpy-style accumulators are audited."""
-        assert rules("t = sum(xs)\n", rel=self.KERNEL) == []
-
-    def test_non_kernel_modules_not_flagged(self):
-        src = "t = np.sum(a)\n"
-        assert rules(src, rel="repro/metrics/report.py") == []
-
-    def test_vectorized_backend_is_a_kernel_module(self):
-        """The numpy backend is under the same ordering rules as soa."""
-        src = "def f(self):\n    for i in self._va:\n        pass\n"
-        assert rules(src, rel=self.KERNEL) == ["set-iteration"]
-
-
 class TestMutableDefaultRule:
     def test_list_default_flagged(self):
         assert rules("def f(x=[]):\n    pass\n") == ["mutable-default"]

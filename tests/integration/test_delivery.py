@@ -1,5 +1,7 @@
 """Delivery correctness: no loss, no misrouting, flit ordering, latency sanity."""
 
+from functools import partial
+
 import pytest
 
 from repro.experiments.designs import PAPER_DESIGNS, build_network
@@ -82,7 +84,7 @@ def test_latency_monotonic_in_load():
 
     curve = sweep(
         "DL-2VC",
-        lambda: Torus((4, 4)),
+        partial(Torus, (4, 4)),  # picklable: sweeps fan out to workers
         "UR",
         [0.02, 0.15, 0.25],
         warmup=500,

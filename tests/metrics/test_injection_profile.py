@@ -1,5 +1,7 @@
 """The Figure-12 measurement helper, end to end at tiny scale."""
 
+from functools import partial
+
 from repro.metrics.injection import injection_delay_profile
 from repro.metrics.sweep import SweepResult
 from repro.topology.torus import Torus
@@ -8,7 +10,7 @@ from repro.topology.torus import Torus
 def test_profile_structure_and_monotonicity():
     report = injection_delay_profile(
         "WBFC-1VC",
-        lambda: Torus((4, 4)),
+        partial(Torus, (4, 4)),  # picklable: sweeps fan out to workers
         "UR",
         fractions=(0.1, 0.9),
         warmup=300,

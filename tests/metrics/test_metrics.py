@@ -1,5 +1,7 @@
 """Measurement machinery: collectors, sweeps, saturation search."""
 
+from functools import partial
+
 import pytest
 
 from repro.metrics.stats import MeasurementSummary, MetricsCollector
@@ -63,7 +65,7 @@ class TestSweep:
     def test_sweep_produces_monotone_throughput_below_saturation(self):
         curve = sweep(
             "DL-3VC",
-            lambda: Torus((4, 4)),
+            partial(Torus, (4, 4)),  # picklable: sweeps fan out to workers
             "UR",
             [0.05, 0.15, 0.25],
             warmup=400,

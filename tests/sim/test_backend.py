@@ -1,22 +1,19 @@
-"""Engine backend seam: soa/numpy/object bit-identity, fallback, plumbing.
+"""Engine backend seam: soa/object bit-identity, fallback, plumbing.
 
 The contract under test (see API.md "Engine backends"): for every
-configuration in the array backends' supported matrix — single- and
+configuration in the array backend's supported matrix — single- and
 multi-VC WBFC and Dateline designs on tori, meshes, and rings, open- and
-closed-loop workloads — ``backend="soa"`` and ``backend="numpy"`` produce
-results byte-for-byte identical to the object engine: the same
-``MeasurementSummary``, the same activity counters, the same flow-control
-statistics, and the same snapshot state tree — so a run may hand over
-between backends mid-flight in either direction.  Outside the matrix the
-factory raises :class:`BackendUnsupported` with a machine-checkable
-witness and ``prepare()`` falls back to the object engine silently.  The
-numpy backend's batched kernels are additionally pinned lane-for-lane to
-the scalar kernels they shadow (``TestKernelDifferential``).
+closed-loop workloads — ``backend="soa"`` produces results byte-for-byte
+identical to the object engine: the same ``MeasurementSummary``, the same
+activity counters, the same flow-control statistics, and the same
+snapshot state tree — so a run may hand over between backends mid-flight
+in either direction.  Outside the matrix the factory raises
+:class:`BackendUnsupported` with a machine-checkable witness and
+``prepare()`` falls back to the object engine silently.
 """
 
 import collections
 import dataclasses
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -112,7 +109,7 @@ def run_backend(backend, design, topology, rate, cycles, switching, seed=3):
 
 #: The widened supported matrix: single-VC worm- and flit-level WBFC,
 #: multi-VC WBFC (Duato adaptive) and Dateline designs, on tori, meshes,
-#: and rings.  Every case is checked against BOTH array backends.
+#: and rings.
 MATRIX = [
     ("WBFC-1VC", "torus:4x4", 0.10, Switching.WORMHOLE_ATOMIC),
     ("WBFC-1VC", "ring:8", 0.40, Switching.WORMHOLE_ATOMIC),
@@ -135,15 +132,12 @@ class TestParity:
         ids=[f"{d}-{t}" for d, t, _, _ in MATRIX],
     )
     def test_bit_identity(self, design, topology, rate, switching):
-        # One object reference per case, compared against both array
-        # backends, so the (slowest) reference run is not repeated.
         obj = run_backend("object", design, topology, rate, 1500, switching)
-        for backend in ("soa", "numpy"):
-            got = run_backend(backend, design, topology, rate, 1500, switching)
-            assert obj["summary"] == got["summary"], backend
-            assert obj["counters"] == got["counters"], backend
-            assert obj["fc_stats"] == got["fc_stats"], backend
-            assert obj["state"] == got["state"], backend
+        got = run_backend("soa", design, topology, rate, 1500, switching)
+        assert obj["summary"] == got["summary"]
+        assert obj["counters"] == got["counters"]
+        assert obj["fc_stats"] == got["fc_stats"]
+        assert obj["state"] == got["state"]
 
 
 class TestHandoff:
@@ -190,36 +184,9 @@ class TestHandoff:
         b.simulator.run(1000)
         assert normalize(b.simulator.snapshot().state) == reference_state
 
-    def test_object_to_numpy(self, reference_state):
-        a = self._prepared("object")
-        a.simulator.run(1000)
-        snap = a.simulator.snapshot()
-        b = self._prepared("numpy")
-        b.simulator.restore(snap)
-        b.simulator.run(1000)
-        assert b.simulator.cycle == 2000
-        assert normalize(b.simulator.snapshot().state) == reference_state
-
-    def test_numpy_to_object(self, reference_state):
-        a = self._prepared("numpy")
-        a.simulator.run(1000)
-        snap = a.simulator.snapshot()
-        b = self._prepared("object")
-        b.simulator.restore(snap)
-        b.simulator.run(1000)
-        assert normalize(b.simulator.snapshot().state) == reference_state
-
     def test_soa_continues_after_snapshot(self, reference_state):
         """The snapshot flush must leave the arrays live, not wedged."""
         a = self._prepared("soa")
-        a.simulator.run(1000)
-        a.simulator.snapshot()
-        a.simulator.run(1000)
-        assert normalize(a.simulator.snapshot().state) == reference_state
-
-    def test_numpy_continues_after_snapshot(self, reference_state):
-        """Same liveness contract for the numpy views over the planes."""
-        a = self._prepared("numpy")
         a.simulator.run(1000)
         a.simulator.snapshot()
         a.simulator.run(1000)
@@ -246,12 +213,11 @@ class TestFallback:
         assert prepared.backend_unsupported is None
 
     @pytest.mark.parametrize("design", ["WBFC-2VC", "DL-2VC"])
-    @pytest.mark.parametrize("backend", ["soa", "numpy"])
-    def test_widened_matrix_is_honored(self, backend, design):
+    def test_widened_matrix_is_honored(self, design):
         # Multi-VC adaptive (WBFC-2VC) and Dateline designs used to fall
         # back; they are inside the widened matrix now.
-        prepared = prepare(self._spec(design=design, backend=backend))
-        assert prepared.backend == backend
+        prepared = prepare(self._spec(design=design))
+        assert prepared.backend == "soa"
         assert prepared.backend_unsupported is None
 
     def test_foreign_flow_control_falls_back(self):
@@ -265,19 +231,6 @@ class TestFallback:
         exc = prepared.backend_unsupported
         assert isinstance(exc, BackendUnsupported)
         assert exc.witness == ("flow_control", "cbs")
-
-    def test_missing_numpy_falls_back_with_witness(self, monkeypatch):
-        # Simulate a numpy-less interpreter: the factory must reject with
-        # the dependency witness and prepare() must land on the object
-        # engine rather than crash.
-        import repro.sim.vectorized as vectorized
-
-        monkeypatch.setattr(vectorized, "np", None)
-        prepared = prepare(self._spec(backend="numpy"))
-        assert prepared.backend == "object"
-        exc = prepared.backend_unsupported
-        assert isinstance(exc, BackendUnsupported)
-        assert exc.witness == ("dependency", "numpy")
 
     def test_telemetry_session_falls_back(self):
         prepared = prepare(self._spec(telemetry=("counters",)))
@@ -314,6 +267,22 @@ class TestFallback:
 
 
 class TestRegistryAndSpec:
+    def test_registered_backends(self):
+        assert ENGINE_BACKENDS.names() == ["object", "soa"]
+
+    def test_removed_backend_fails_loudly(self, monkeypatch):
+        # A name that used to exist must raise, never fall back silently.
+        message = (
+            r"unknown engine backend 'numpy'; "
+            r"choose from \['object', 'soa'\]"
+        )
+        spec = ScenarioSpec(design="WBFC-1VC", topology="torus:4x4")
+        with pytest.raises(ValueError, match=message):
+            prepare(dataclasses.replace(spec, backend="numpy"))
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        with pytest.raises(ValueError, match=message):
+            prepare(spec)
+
     def test_unknown_backend_suggests_closest(self):
         with pytest.raises(ValueError, match=r"did you mean 'soa'\?"):
             ENGINE_BACKENDS.get("soaa")
@@ -383,8 +352,7 @@ class TestClosedLoop:
     )
     def test_closed_loop_bit_identity(self, design, topology):
         obj = self._run("object", design, topology)
-        for backend in ("soa", "numpy"):
-            assert self._run(backend, design, topology) == obj, backend
+        assert self._run("soa", design, topology) == obj
 
 
 #: Verified (design, topology, switching) combinations the hypothesis
@@ -408,70 +376,23 @@ _DIFFERENTIAL_COMBOS = [
 
 class TestDifferential:
     """Hypothesis sweep of the widened matrix: any scenario the array
-    backends accept must agree with the object engine on every
-    observable, whichever backend is drawn."""
+    backend accepts must agree with the object engine on every
+    observable."""
 
     @settings(max_examples=8, deadline=None)
     @given(
         combo=st.sampled_from(_DIFFERENTIAL_COMBOS),
-        backend=st.sampled_from(["soa", "numpy"]),
         rate=st.integers(min_value=2, max_value=35),
         seed=st.integers(min_value=0, max_value=2**16),
         cycles=st.integers(min_value=300, max_value=700),
     )
-    def test_random_scenarios_agree(self, combo, backend, rate, seed, cycles):
+    def test_random_scenarios_agree(self, combo, rate, seed, cycles):
         design, topology, switching = combo
         obj = run_backend(
             "object", design, topology, rate / 100, cycles, switching, seed
         )
         got = run_backend(
-            backend, design, topology, rate / 100, cycles, switching, seed
+            "soa", design, topology, rate / 100, cycles, switching, seed
         )
         assert obj == got
 
-
-class TestKernelDifferential:
-    """The batched displacement kernel must be lane-for-lane identical to
-    the scalar kernel on arbitrary packed (colors, bubbles) vectors."""
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        k=st.integers(min_value=2, max_value=12),
-        data=st.data(),
-    )
-    def test_batch_matches_scalar(self, k, data):
-        import numpy as np
-
-        from repro.sim.kernels import displacement_pass, displacement_pass_batch
-
-        lanes = data.draw(st.integers(min_value=1, max_value=8), label="lanes")
-        # Valid packed keys only: each 2-bit field is a WHITE/GRAY/BLACK
-        # code (0..2); 3 is not a color and neither kernel defines it.
-        code_rows = data.draw(
-            st.lists(
-                st.lists(
-                    st.integers(min_value=0, max_value=2),
-                    min_size=k, max_size=k,
-                ),
-                min_size=lanes, max_size=lanes,
-            ),
-            label="color_codes",
-        )
-        keys = [
-            sum(code << (i + i) for i, code in enumerate(row))
-            for row in code_rows
-        ]
-        masks = data.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=2**k - 1),
-                min_size=lanes, max_size=lanes,
-            ),
-            label="bubble_masks",
-        )
-        batch = displacement_pass_batch(
-            k, np.array(keys, dtype=np.int64), np.array(masks, dtype=np.int64)
-        )
-        for lane, (key, mask) in enumerate(zip(keys, masks)):
-            assert batch[lane] == displacement_pass(k, key, mask), (
-                f"lane {lane}: k={k} key={key} mask={mask}"
-            )
