@@ -87,12 +87,12 @@ from ..sim.kernels import (
     ALLOW,
     MARK,
     displacement_pass,
-    idle_rotation_step,
+    idle_advance,
     mp_table,
     wbfc_injection_verdict,
     wbfc_transit_allows,
 )
-from .colors import WBColor
+from .colors import CODE_TO_COLOR, WBColor
 from .state import RingContext
 
 __all__ = ["WormBubbleFlowControl"]
@@ -133,10 +133,11 @@ class RingTokenLane:
     automaton that nothing can observe except through ``InputVC.color`` —
     a property that flushes this lane first.  So ``pre_cycle`` merely
     counts the steps it owes (``pending``); ``materialize`` fast-forwards
-    the colors exactly, using a memoized trajectory with period detection
-    shared across rings, and credits the skipped displacements to the
-    stats dict.  Cost is O(period) once per distinct start state and O(k)
-    per write-back, independent of how long the ring stayed idle.
+    the colors exactly through :func:`~repro.sim.kernels.idle_advance`
+    (memoized trajectories with period detection, shared across rings)
+    and credits the skipped displacements to the stats dict.  Cost is
+    O(period) once per distinct start state and O(k) per write-back,
+    independent of how long the ring stayed idle.
     """
 
     __slots__ = (
@@ -146,8 +147,6 @@ class RingTokenLane:
         "dirty",
         "stats",
         "traj_cache",
-        "traj_entry",
-        "traj_pos",
         "color_key",
         "bubble_mask",
     )
@@ -167,19 +166,12 @@ class RingTokenLane:
         self.dirty = True
         self.stats = stats
         self.traj_cache = traj_cache
-        #: Position bookmark into a memoized trajectory: while no external
-        #: color write intervenes, ``traj_entry`` is the trajectory whose
-        #: ``states[traj_pos]`` equals the buffers' current colors, letting
-        #: repeated materializations skip the start-tuple rebuild and cache
-        #: lookup entirely.  Invalidated (set to None) by any color write
-        #: that bypasses the lane's own write-back.
-        self.traj_entry = None
-        self.traj_pos = 0
         #: Packed 2-bit-per-buffer color vector (``WBColor.code`` at bit
         #: ``2 * ring_pos``), or None when it must be rebuilt from the
         #: buffers.  Maintained incrementally by the ``InputVC.color``
-        #: setter and the displacement-pass memo; invalidated by any color
-        #: write that bypasses them (``materialize``, checkpoint restore).
+        #: setter, the displacement-pass memo and ``materialize``;
+        #: invalidated by any color write that bypasses them (checkpoint
+        #: restore).
         self.color_key = None
         #: Bit ``ring_pos`` set iff that buffer is a worm-bubble (empty and
         #: unowned); flipped by ``on_bubble_change``.  Together with
@@ -192,59 +184,20 @@ class RingTokenLane:
         if not n:
             return
         self.pending = 0
-        entry = self.traj_entry
-        pos = self.traj_pos
-        if entry is None:
-            start = tuple(b._color for b in self.buffers)
-            # Cache keys are id() tuples: color members are singletons, and
-            # hashing small ints here is markedly cheaper than Enum.__hash__.
-            key = tuple(map(id, start))
-            entry = self.traj_cache.get(key)
-            if entry is None:
-                # Walk the automaton until a state repeats: states[0..last]
-                # with cumulative move counts, plus the closing step's moves.
-                states = [start]
-                cum = [0]
-                index = {key: 0}
-                s = start
-                while True:
-                    nxt, m = idle_rotation_step(s)
-                    nxt_key = tuple(map(id, nxt))
-                    if nxt_key in index:
-                        entry = (states, cum, index[nxt_key], m)
-                        break
-                    index[nxt_key] = len(states)
-                    states.append(nxt)
-                    cum.append(cum[-1] + m)
-                    s = nxt
-                self.traj_cache[key] = entry
-            self.traj_entry = entry
-            pos = 0
-        states, cum, first, close_moves = entry
-        last = len(states) - 1
-        target = pos + n
-        if target <= last:
-            moves = cum[target] - cum[pos]
-            new_pos = target
-        else:
-            # Walk pos -> last, take the closing step back to `first`, then
-            # wrap the remainder around the cycle.  Algebraically identical
-            # to the pos == 0 formula the cache was built for.
-            period = last - first + 1
-            period_moves = cum[last] - cum[first] + close_moves
-            moves = cum[last] - cum[pos] + close_moves
-            laps, rem = divmod(target - last - 1, period)
-            new_pos = first + rem
-            moves += laps * period_moves + (cum[new_pos] - cum[first])
+        buffers = self.buffers
+        key = self.color_key
+        if key is None:
+            key = 0
+            for i, b in enumerate(buffers):
+                key |= b._color.code << (i + i)
+        new_key, moves = idle_advance(len(buffers), key, n, self.traj_cache)
         if moves:
             self.stats["displacements"] += moves
-        self.traj_pos = new_pos
-        if new_pos != pos:
+        self.color_key = new_key
+        if new_key != key:
             self.dirty = True
-            self.color_key = None
-            final = states[new_pos]
-            for b, c in zip(self.buffers, final):
-                b._color = c
+            for i, b in enumerate(buffers):
+                b._color = CODE_TO_COLOR[(new_key >> (i + i)) & 3]
 
 
 @FLOW_CONTROLS.register("wbfc")
@@ -290,7 +243,7 @@ class WormBubbleFlowControl(FlowControl):
         #: occupancy count) and the shared trajectory memo.
         self._lanes: dict[str, RingTokenLane] = {}
         self._lane_list: list[RingTokenLane] = []
-        self._traj_cache: dict[tuple, tuple] = {}
+        self._traj_cache: dict[tuple[int, int], tuple] = {}
         #: Displacement-pass memo shared by every lane: packed
         #: (k, colors, bubbles) vector -> ``displacement_pass`` result.
         self._pass_memo: dict[tuple[int, int, int], tuple] = {}
@@ -390,7 +343,7 @@ class WormBubbleFlowControl(FlowControl):
         self._stats_dict.update(state["stats"])
         # Colors were restored directly into the buffers (lanes were flushed
         # at capture, so no rotation is owed); recount the occupancy each
-        # lane derives from its buffers and drop all memo bookmarks.
+        # lane derives from its buffers.
         self._recount_lanes()
 
     def _recount_lanes(self) -> None:
@@ -398,14 +351,12 @@ class WormBubbleFlowControl(FlowControl):
 
         Used after any bulk write that bypasses the color/owner setters —
         checkpoint restore, and the SoA backend's snapshot flush — so the
-        lanes' occupancy counts, bubble masks, and memo bookmarks match the
-        buffers again.
+        lanes' occupancy counts, bubble masks and packed color keys match
+        the buffers again.
         """
         for lane in self._lane_list:
             lane.pending = 0
             lane.dirty = True
-            lane.traj_entry = None
-            lane.traj_pos = 0
             lane.color_key = None
             occupied = 0
             mask = 0
@@ -726,10 +677,9 @@ class WormBubbleFlowControl(FlowControl):
             # cycle); a no-move pass settles the ring until a color write
             # or bubble flip dirties it again.
             if writes:
-                for pos, color in writes:
-                    buffers[pos]._color = color
+                for pos, code in writes:
+                    buffers[pos]._color = CODE_TO_COLOR[code]
                 lane.color_key = new_key
-                lane.traj_entry = None
                 if disp:
                     stats["displacements"] += disp
                 if fwd:

@@ -14,7 +14,6 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from ..core.colors import WBColor
-from ..sim.kernels import ovc_admission
 from .flit import Flit, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -141,11 +140,8 @@ class InputVC:
             if lane.pending:
                 lane.materialize()
             # A color write may enable a displacement the lane's no-move
-            # memo ruled out; tell the eager pass to re-examine the ring,
-            # and drop the lane's trajectory bookmark — the ring's color
-            # vector no longer matches the memoized position.
+            # memo ruled out; tell the eager pass to re-examine the ring.
             lane.dirty = True
-            lane.traj_entry = None
             key = lane.color_key
             if key is not None:
                 # Keep the packed color vector exact without an O(k) rebuild.
@@ -285,14 +281,7 @@ class OutputVC:
     @property
     def is_free_for_allocation(self) -> bool:
         """Atomic allocation: downstream VC unowned and known empty."""
-        return ovc_admission(
-            True,
-            False,
-            self.allocated_to is not None,
-            self.credits,
-            self.downstream.capacity,
-            0,
-        )
+        return self.allocated_to is None and self.credits == self.downstream.capacity
 
     @property
     def has_credit(self) -> bool:

@@ -8,7 +8,6 @@ it one phase at a time so all routers observe consistent state.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
@@ -85,12 +84,6 @@ class Network:
         self._arrivals: dict[int, list[tuple[InputVC, Flit]]] = defaultdict(list)
         self._credits: dict[int, list[tuple[OutputVC, bool]]] = defaultdict(list)
         self._ejections: dict[int, list[tuple[int, Flit]]] = defaultdict(list)
-        #: Min-heap of cycles with at least one scheduled event, feeding
-        #: ``next_event_cycle``.  May hold up to one entry per event kind
-        #: per cycle plus stale entries for already-drained cycles; both
-        #: are discarded lazily, so pushes stay O(log n) and the heap is
-        #: derived state (rebuilt from the three dicts on restore).
-        self._event_heap: list[int] = []
         flow_control.attach(self)
 
     @property
@@ -139,22 +132,13 @@ class Network:
     # -- event scheduling ---------------------------------------------------------
 
     def schedule_arrival(self, ivc: InputVC, flit: Flit, when: int) -> None:
-        bucket = self._arrivals[when]
-        if not bucket:
-            heapq.heappush(self._event_heap, when)
-        bucket.append((ivc, flit))
+        self._arrivals[when].append((ivc, flit))
 
     def schedule_credit(self, ovc: OutputVC, is_tail: bool, when: int) -> None:
-        bucket = self._credits[when]
-        if not bucket:
-            heapq.heappush(self._event_heap, when)
-        bucket.append((ovc, is_tail))
+        self._credits[when].append((ovc, is_tail))
 
     def schedule_ejection(self, node: int, flit: Flit, when: int) -> None:
-        bucket = self._ejections[when]
-        if not bucket:
-            heapq.heappush(self._event_heap, when)
-        bucket.append((node, flit))
+        self._ejections[when].append((node, flit))
 
     def is_quiescent(self) -> bool:
         """True when no router stage or NIC can do work this cycle.
@@ -174,21 +158,14 @@ class Network:
         """Earliest cycle ``>= cycle`` with a scheduled delivery.
 
         Returns :data:`~repro.sim.config.NEVER` when nothing is in flight.
-        Stale heap entries (cycles whose buckets were already drained by
-        ``begin_cycle``, or duplicates from multiple event kinds sharing a
-        cycle) are discarded here, lazily.
+        ``begin_cycle`` pops every ticked cycle's buckets, a skip never
+        jumps past a scheduled cycle and no empty bucket is ever stored,
+        so the three calendars hold only a handful of future keys and
+        their minimum is the answer.
         """
-        heap = self._event_heap
-        while heap:
-            when = heap[0]
-            if when >= cycle and (
-                when in self._arrivals
-                or when in self._credits
-                or when in self._ejections
-            ):
-                return when
-            heapq.heappop(heap)
-        return NEVER
+        return min(
+            (*self._arrivals, *self._credits, *self._ejections), default=NEVER
+        )
 
     # -- per-cycle phases -----------------------------------------------------------
 
@@ -262,8 +239,6 @@ class Network:
                         f"{ivc.label()} owned by "
                         f"{ivc.owner.pid if ivc.owner else None}"
                     )
-                # stage_ready before state: the state setter publishes it
-                # into the router's per-stage ready bound.
                 ivc.stage_ready = cycle + self._routing_delay
                 ivc.state = VCState.ROUTING
             elif was_front:
@@ -413,11 +388,6 @@ class Network:
         self._ejections = defaultdict(list)
         for when, events in state["ejections"].items():
             self._ejections[when] = list(events)
-        # Derived: one entry per scheduled cycle, duplicates long gone.
-        # A sorted list is a valid min-heap.
-        self._event_heap = sorted(
-            set(self._arrivals) | set(self._credits) | set(self._ejections)
-        )
         # After the buffers: the scheme recounts lane occupancy from them.
         self.flow_control.restore_state(state["flow_control"])
         # Rebuild the derived active-set indices from restored ground truth.

@@ -70,8 +70,6 @@ class NIC:
                 for flit in packet.make_flits():
                     slot.push(flit)
                 slot.owner = packet
-                # stage_ready before state: the state setter publishes it
-                # into the router's per-stage ready bound.
                 slot.stage_ready = cycle + self.network.config.routing_delay
                 slot.state = VCState.ROUTING
                 probes = self.network.probes

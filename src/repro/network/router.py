@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim.kernels import ovc_admission
 from ..topology.base import LOCAL_PORT
 from .allocators import RoundRobinArbiter
 from .buffers import InputVC, OutputVC, VCState
@@ -106,16 +105,6 @@ class Router:
         self._sorted_routing: list[InputVC] | None = None
         self._sorted_waiting: list[InputVC] | None = None
         self._sorted_active: list[InputVC] | None = None
-        #: Conservative lower bound on min ``stage_ready`` over each stage
-        #: set: min-lowered on stage entry (state setter sites assign
-        #: ``stage_ready`` first), recomputed exactly at the end of each
-        #: phase visit.  While ``cycle < bound`` the phase has no eligible
-        #: VC, so the whole visit is skipped; no-request visits advance no
-        #: arbiter pointer, making the skip bit-exact.  Meaningless while
-        #: the stage set is empty (overwritten on the next first entry).
-        self._rc_ready = 0
-        self._va_ready = 0
-        self._sa_ready = 0
         for port_list in self.inputs:
             for ivc in port_list:
                 ivc.scheduler = self
@@ -154,27 +143,18 @@ class Router:
             bucket = self._routing_vcs
             if not bucket:
                 phase_routers[0].add(node)
-                self._rc_ready = ivc.stage_ready
-            elif ivc.stage_ready < self._rc_ready:
-                self._rc_ready = ivc.stage_ready
             bucket.add(ivc)
             self._sorted_routing = None
         elif new is VCState.WAITING_VA:
             bucket = self._waiting_va_vcs
             if not bucket:
                 phase_routers[1].add(node)
-                self._va_ready = ivc.stage_ready
-            elif ivc.stage_ready < self._va_ready:
-                self._va_ready = ivc.stage_ready
             bucket.add(ivc)
             self._sorted_waiting = None
         elif new is VCState.ACTIVE:
             bucket = self._active_vcs
             if not bucket:
                 phase_routers[2].add(node)
-                self._sa_ready = ivc.stage_ready
-            elif ivc.stage_ready < self._sa_ready:
-                self._sa_ready = ivc.stage_ready
             bucket.add(ivc)
             self._sorted_active = None
 
@@ -259,16 +239,12 @@ class Router:
         self._sorted_routing = None
         self._sorted_waiting = None
         self._sorted_active = None
-        # Always-eligible bounds: the first phase visit recomputes them.
-        self._rc_ready = 0
-        self._va_ready = 0
-        self._sa_ready = 0
 
     # -- pipeline stages ------------------------------------------------------
 
     def route_compute(self, cycle: int) -> None:
         """Resolve routing candidates for heads whose RC stage completed."""
-        if not self._routing_vcs or cycle < self._rc_ready:
+        if not self._routing_vcs:
             return
         routing = self.network.routing
         vcs = self._sorted_routing
@@ -283,13 +259,10 @@ class Router:
                 ivc.stage_ready = cycle + self._vc_alloc_delay
                 ivc.state = VCState.WAITING_VA
                 ivc.va_first_request = None
-        self._rc_ready = min(
-            (ivc.stage_ready for ivc in self._routing_vcs), default=0
-        )
 
     def vc_allocate(self, cycle: int) -> None:
         """Grant output VCs to waiting heads (adaptive first, then escape)."""
-        if not self._waiting_va_vcs or cycle < self._va_ready:
+        if not self._waiting_va_vcs:
             return
         fc = self.network.flow_control
         vcs = self._sorted_waiting
@@ -330,13 +303,10 @@ class Router:
             ):
                 continue
             self._try_escape(ivc, packet, escape_port, cycle, in_ring_continuation)
-        self._va_ready = min(
-            (ivc.stage_ready for ivc in self._waiting_va_vcs), default=0
-        )
 
     def switch_allocate(self, cycle: int) -> None:
         """Separable input-first switch allocation; one flit per port."""
-        if not self._active_vcs or cycle < self._sa_ready:
+        if not self._active_vcs:
             return
         # Group SA-eligible VCs by input port, in (port, vc) scan order; the
         # per-port arbiter pointer only advances on non-empty request lists,
@@ -357,9 +327,6 @@ class Router:
                     self._send(ivc, cycle)
                 elif self._probes.active:
                     self._probes.credit_stall(self.node, ivc, cycle)
-            self._sa_ready = min(
-                (ivc.stage_ready for ivc in self._active_vcs), default=0
-            )
             return
         eligible_by_port: dict[int, list[InputVC]] = {}
         for ivc in vcs:
@@ -384,9 +351,6 @@ class Router:
             winner = self._sa_output_arbiters[out_port].pick(reqs)
             if winner is not None:
                 self._send(winner, cycle)
-        self._sa_ready = min(
-            (ivc.stage_ready for ivc in self._active_vcs), default=0
-        )
 
     # -- VA helpers -------------------------------------------------------------
 
@@ -444,16 +408,19 @@ class Router:
         return False
 
     def _ovc_admits(self, ovc: OutputVC, packet: Packet) -> bool:
-        """Downstream admission test per switching mode (see
-        :func:`repro.sim.kernels.ovc_admission`)."""
-        return ovc_admission(
-            self._atomic,
-            self._switching is Switching.VCT,
-            ovc.allocated_to is not None,
-            ovc.credits,
-            ovc.downstream.capacity,
-            packet.length,
-        )
+        """Downstream admission test per switching mode.
+
+        Atomic wormhole needs an empty, unallocated VC (Equation 3); VCT
+        needs room for the whole packet (Equation 1); non-atomic wormhole
+        needs one free flit slot (Equation 2).  Non-atomic modes still
+        serialize packets per output VC so flits never interleave.
+        """
+        if self._atomic:
+            return ovc.allocated_to is None and ovc.credits == ovc.downstream.capacity
+        if ovc.allocated_to is not None:
+            return False
+        need = packet.length if self._switching is Switching.VCT else 1
+        return ovc.credits >= need
 
     def _grant(
         self,

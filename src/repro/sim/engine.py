@@ -21,6 +21,12 @@ traces and the skip-vs-tick suite).  Components that predate the
 contract simply disable skipping: a listener without ``next_wake`` or a
 workload without ``next_active_cycle`` degrades to the plain per-cycle
 loop, never to wrong results.
+
+This loop is the only one: an array backend (``repro.sim.soa``)
+subclasses :class:`Simulator` and replaces the cycle body (``_tick``)
+and the three questions the skip asks of the network state
+(``_is_quiescent``, ``_next_event_cycle``, ``_skip_flow_control``) with
+answers read from its arrays.
 """
 
 from __future__ import annotations
@@ -164,9 +170,21 @@ class Simulator:
 
     def _advance(self, end: int) -> None:
         """Tick once, or skip a provably idle span (never past ``end``)."""
-        if self.skip_idle and self.network.is_quiescent() and self._skip_to_wake(end):
+        if self.skip_idle and self._is_quiescent() and self._skip_to_wake(end):
             return
         self._tick()
+
+    def _is_quiescent(self) -> bool:
+        """No router stage or NIC can do work this cycle."""
+        return self.network.is_quiescent()
+
+    def _next_event_cycle(self, cycle: int) -> int:
+        """Earliest cycle ``>= cycle`` with a scheduled delivery."""
+        return self.network.next_event_cycle(cycle)
+
+    def _skip_flow_control(self, span: int) -> None:
+        """Account ``span`` skipped cycles of flow-control maintenance."""
+        self.network.flow_control.skip_cycles(span)
 
     def _skip_to_wake(self, end: int) -> bool:
         """From a quiescent boundary, jump to the next possible wake cycle.
@@ -180,7 +198,7 @@ class Simulator:
         network = self.network
         horizon = min(
             end,
-            network.next_event_cycle(cycle),
+            self._next_event_cycle(cycle),
             network.flow_control.next_wake(cycle),
         )
         if horizon <= cycle:
@@ -210,7 +228,7 @@ class Simulator:
         # Cycles [cycle, horizon) are provably inert for every component;
         # account for them in O(1) each and jump.
         span = horizon - cycle
-        network.flow_control.skip_cycles(span)
+        self._skip_flow_control(span)
         network.flits_moved_this_cycle = 0
         watchdog_skip(cycle, horizon)
         for listener in self.cycle_listeners:

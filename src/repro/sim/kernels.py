@@ -1,17 +1,21 @@
-"""Backend-neutral per-cycle decision kernels.
+"""Backend-neutral WBFC decision kernels.
 
-The engine backend seam: every *decision* a router or flow-control scheme
-makes each cycle — downstream admission, WBFC injection verdicts,
-worm-bubble displacement — lives here as a pure function of plain
-values, shared by the object engine (``repro.sim.engine`` driving
-``repro.network.router``) and the structure-of-arrays backend
-(``repro.sim.soa``).  Bit-identity between backends reduces to both
-calling these kernels on the same inputs in the same order; the object
-graph and the flat arrays are just two *state layouts* around them.
+The engine backend seam: the *flow-control* decisions of a cycle — WBFC
+injection and transit verdicts, worm-bubble displacement, idle-ring token
+rotation — live here as pure functions of plain ints, shared by the
+object engine (``repro.sim.engine`` driving ``repro.network.router``) and
+the structure-of-arrays backend (``repro.sim.soa``).  For those rules
+bit-identity between backends reduces to both calling these kernels on
+the same inputs in the same order.  The router pipeline itself
+(downstream admission per Equations 1-3, allocation, arbitration) is
+*not* here: each engine states it over its own state layout
+(``Router._ovc_admits`` / the inlined tests in ``soa.py``) and the
+backend parity suite holds the two together.
 
-Everything in this module is deterministic and side-effect-free: no RNG,
-no wall clock, no mutation of arguments.  The determinism lint treats it
-as kernel code.
+Everything in this module is deterministic and free of outside effects:
+no RNG, no wall clock, no imports from ``repro.core``; the only argument
+ever written is the memo dict handed to :func:`idle_advance`.  The
+determinism lint treats it as kernel code.
 """
 
 from __future__ import annotations
@@ -20,13 +24,12 @@ __all__ = [
     "ALLOW",
     "MARK",
     "DENY",
-    "ovc_admission",
     "mp_table",
     "wbfc_transit_allows",
     "wbfc_injection_verdict",
     "flit_injection_verdict",
-    "idle_rotation_step",
     "displacement_pass",
+    "idle_advance",
 ]
 
 #: Injection-verdict codes shared by the WBFC kernels: the caller applies
@@ -34,36 +37,6 @@ __all__ = [
 ALLOW = 1
 MARK = 0
 DENY = -1
-
-#: Lazily-filled cache of ``repro.core.colors.CODE_TO_COLOR``; the import
-#: must be deferred (see :func:`idle_rotation_step`) but not re-resolved on
-#: every displacement call.
-_CODE_TO_COLOR = None
-
-
-# -- downstream admission (Equations 1-3) ------------------------------------
-
-
-def ovc_admission(
-    atomic: bool,
-    vct: bool,
-    allocated: bool,
-    credits: int,
-    capacity: int,
-    length: int,
-) -> bool:
-    """May a head be granted this downstream VC, per switching mode?
-
-    Atomic wormhole needs an empty, unallocated VC (Equation 3); VCT needs
-    room for the whole packet (Equation 1); non-atomic wormhole needs one
-    free flit slot (Equation 2).  Non-atomic modes still serialize packets
-    per output VC so flits never interleave.
-    """
-    if atomic:
-        return not allocated and credits == capacity
-    if allocated:
-        return False
-    return credits >= (length if vct else 1)
 
 
 # -- WBFC (Definition 3 and Sections 3.3-3.6) --------------------------------
@@ -165,63 +138,19 @@ def flit_injection_verdict(
 # -- worm-bubble displacement (Section 3.6) ----------------------------------
 
 
-def idle_rotation_step(colors: tuple) -> tuple[tuple, int]:
-    """One backward-displacement step of an all-bubble ring's colors.
-
-    Mirrors the backward pass of :func:`displacement_pass` for the case
-    where every buffer is a worm-bubble: each black token swaps with the
-    white or gray one position behind it, the shared ``moved`` set
-    preventing chained transfers within one cycle.  Pure function of the
-    color tuple.
-    """
-    # Deferred import: ``repro.core.__init__`` imports the flow-control
-    # schemes, which import this module — a top-level import here would
-    # close that cycle mid-initialization.  Both displacement kernels are
-    # memoized by their callers, so the cached-module lookup is off the
-    # per-cycle path.
-    from ..core.colors import WBColor
-
-    k = len(colors)
-    out = list(colors)
-    moved: set[int] = set()
-    moves = 0
-    black = WBColor.BLACK
-    white = WBColor.WHITE
-    gray = WBColor.GRAY
-    for i in range(k):
-        j = i + 1 if i + 1 < k else 0
-        if i in moved or j in moved:
-            continue
-        ci = colors[i]
-        if colors[j] is black and (ci is white or ci is gray):
-            out[j] = ci
-            out[i] = black
-            moved.add(i)
-            moved.add(j)
-            moves += 1
-    return tuple(out), moves
-
-
 def displacement_pass(k: int, color_key: int, bubble_mask: int) -> tuple:
     """One proactive displacement pass (Section 3.6) as a pure function of
     a ring's packed (colors, worm-bubbles) vector.
 
     Returns ``(writes, new_color_key, displacements, forward)`` where
-    ``writes`` is a tuple of ``(ring_pos, color)`` buffer write-backs.
+    ``writes`` is a tuple of ``(ring_pos, color_code)`` buffer write-backs.
     Callers memoize per distinct vector (``WormBubbleFlowControl._pass_memo``,
     shared with the SoA backend): a ring under traffic revisits a small set
     of vectors, so the two O(k) scans below amortize to one dict lookup per
     dirty lane per cycle.
     """
-    global _CODE_TO_COLOR
-    if _CODE_TO_COLOR is None:  # lazy: see idle_rotation_step
-        from ..core.colors import CODE_TO_COLOR
-
-        _CODE_TO_COLOR = CODE_TO_COLOR
-
     # All-integer scan: color codes (WHITE=0, GRAY=1, BLACK=2) straight out
-    # of the packed key, bubbles as mask bits.  Codes only materialize into
-    # WBColor members for the (small) write-back list at the very end.
+    # of the packed key, bubbles as mask bits.
     # Conditions are ordered cheapest-first; none has side effects, so the
     # reordering relative to the ``moved`` gate cannot change the outcome.
     codes = [(color_key >> (i + i)) & 3 for i in range(k)]
@@ -279,8 +208,55 @@ def displacement_pass(k: int, color_key: int, bubble_mask: int) -> tuple:
         if c:
             new_key |= c << (i + i)
     return (
-        tuple((i, _CODE_TO_COLOR[codes[i]]) for i in sorted(writes)),
+        tuple((i, codes[i]) for i in sorted(writes)),
         new_key,
         disp,
         fwd,
     )
+
+
+def idle_advance(k: int, color_key: int, n: int, cache: dict) -> tuple[int, int]:
+    """Advance an all-bubble ring's packed colors by ``n`` idle cycles.
+
+    On a ring whose every buffer is a worm-bubble the forward pass of
+    :func:`displacement_pass` cannot fire (it needs a non-bubble behind
+    the mark), so the colors follow a closed deterministic automaton:
+    ``n`` passes under a full bubble mask.  Returns ``(new_color_key,
+    displacements)`` without running them one by one: the first visit to
+    a state walks the automaton to its first repeat and memoizes, in
+    ``cache``, ``(k, state) -> (trajectory, position)`` for every state on
+    the walk.  A trajectory is ``(states, cum, first, close_moves)``: the
+    distinct states in order, the cumulative move counts, the index the
+    closing step returns to, and that step's moves.
+    """
+    hit = cache.get((k, color_key))
+    if hit is None:
+        full = (1 << k) - 1
+        states = [color_key]
+        cum = [0]
+        index = {color_key: 0}
+        while True:
+            _writes, nxt, moves, _fwd = displacement_pass(k, states[-1], full)
+            if nxt in index:
+                trajectory = (states, cum, index[nxt], moves)
+                break
+            index[nxt] = len(states)
+            states.append(nxt)
+            cum.append(cum[-1] + moves)
+        for pos, state in enumerate(states):
+            cache[(k, state)] = (trajectory, pos)
+        hit = (trajectory, 0)
+    (states, cum, first, close_moves), pos = hit
+    last = len(states) - 1
+    target = pos + n
+    if target <= last:
+        return states[target], cum[target] - cum[pos]
+    # Walk pos -> last, take the closing step back to ``first``, then wrap
+    # the remainder around the cycle.
+    period = last - first + 1
+    period_moves = cum[last] - cum[first] + close_moves
+    laps, rem = divmod(target - last - 1, period)
+    new_pos = first + rem
+    moves = cum[last] - cum[pos] + close_moves
+    moves += laps * period_moves + (cum[new_pos] - cum[first])
+    return states[new_pos], moves

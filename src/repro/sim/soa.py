@@ -22,8 +22,8 @@ exclude the backend choice.
 ring topologies, DOR / ring / Duato minimal-adaptive routing, WBFC
 (atomic wormhole, any VC count), flit-level WBFC (non-atomic wormhole,
 single VC), or Dateline (atomic wormhole, two escape classes), open-loop
-synthetic traffic (no ``fast_forward``) or the closed-loop coherence
-workload, no telemetry/probe subscribers, no sanitizer, no cycle
+synthetic traffic or the closed-loop coherence workload, no
+telemetry/probe subscribers, no sanitizer, no cycle
 listeners, the stock :class:`~repro.sim.deadlock.Watchdog`.
 Anything else raises :class:`~repro.sim.engine.BackendUnsupported` with a
 machine-checkable witness, and ``prepare()`` falls back to the object
@@ -40,12 +40,20 @@ owner, stage, ready cycle, route, colors, credits) and the event
 calendars live in arrays, written back by ``_flush()`` at snapshot
 boundaries and before any watchdog raise.
 
-Idle-ring token rotation is *eager* here: the object engine defers the
-all-bubble backward pass onto a :class:`~repro.core.wbfc.RingTokenLane`
-and replays it on observation; this engine simply runs the memoized
-displacement kernel every cycle.  Both materialize to the same colors at
-every observation point (the object lane flushes before any read), so
-the difference is invisible — see the backend parity suite.
+**One driver.**  :class:`SoAEngine` is a :class:`~repro.sim.engine.Simulator`:
+``run``/``run_until``/``drain`` and the event-horizon skip are inherited,
+and only the cycle body (``_tick``) and the three questions the skip asks
+of the network state are answered from the arrays.
+
+Idle-ring token rotation is *eager per ticked cycle* here: the object
+engine defers the all-bubble backward pass onto a
+:class:`~repro.core.wbfc.RingTokenLane` and replays it on observation;
+this engine runs the memoized displacement kernel on every cycle it
+ticks, and skipped spans go through the same
+:func:`~repro.sim.kernels.idle_advance` the object lanes replay with.
+Both materialize to the same colors at every observation point (the
+object lane flushes before any read), so the difference is invisible —
+see the backend parity suite.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from ..core.state import RingContext
 from ..network.buffers import VCState
 from ..network.switching import Switching
 from ..registry import ENGINE_BACKENDS
+from .config import NEVER
 from .deadlock import DeadlockError, StarvationError, Watchdog
 from .engine import BackendUnsupported, Simulator
 from .kernels import (
@@ -65,6 +74,7 @@ from .kernels import (
     MARK,
     displacement_pass,
     flit_injection_verdict,
+    idle_advance,
     wbfc_injection_verdict,
     wbfc_transit_allows,
 )
@@ -129,14 +139,8 @@ def _check_supported(sim: Simulator) -> None:
     else:
         reject("unsupported flow control", "flow_control", fc.name)
     wl = sim.workload
-    if wl is not None:
-        if type(wl) is SyntheticTraffic:
-            if wl.fast_forward:
-                # Fast-forward draws a different RNG stream; results would
-                # not be bit-identical to the object engine's ticked run.
-                reject("fast-forward workloads", "workload", "fast_forward")
-        elif type(wl) is not CoherenceWorkload:
-            reject("unsupported workload", "workload", type(wl).__name__)
+    if wl is not None and type(wl) not in (SyntheticTraffic, CoherenceWorkload):
+        reject("unsupported workload", "workload", type(wl).__name__)
     if net.probes.active:
         reject("probe subscribers attached", "telemetry", "probes")
     if sim.telemetry is not None:
@@ -149,21 +153,19 @@ def _check_supported(sim: Simulator) -> None:
         reject("custom watchdog", "watchdog", type(sim.watchdog).__name__)
 
 
-class SoAEngine:
+class SoAEngine(Simulator):
     """Drop-in engine over flat arrays; see the module notes for scope."""
 
     def __init__(self, simulator: Simulator):
         _check_supported(simulator)
+        super().__init__(
+            simulator.network,
+            simulator.workload,
+            watchdog=simulator.watchdog,
+            skip_idle=simulator.skip_idle,
+        )
         self.inner = simulator
-        self.network = simulator.network
-        self.workload = simulator.workload
-        self.watchdog = simulator.watchdog
         self.cycle = simulator.cycle
-        # Shared (and checked empty); kept for Simulator API parity.
-        self.cycle_listeners = simulator.cycle_listeners
-        self.telemetry = None
-        self.sanitizer = None
-        self.skip_idle = False
 
         net = self.network
         cfg = net.config
@@ -412,7 +414,6 @@ class SoAEngine:
         net._arrivals = arrivals
         net._credits = credits
         net._ejections = ejections
-        net._event_heap = sorted(set(arrivals) | set(credits) | set(ejections))
 
         for node, router in enumerate(net.routers):
             router._va_arbiter._ptr = self._va_ptr[node]
@@ -429,9 +430,6 @@ class SoAEngine:
             router._sorted_routing = None
             router._sorted_waiting = None
             router._sorted_active = None
-            router._rc_ready = 0
-            router._va_ready = 0
-            router._sa_ready = 0
         rc, va, sa = set(), set(), set()
         for router in net.routers:
             if router._routing_vcs:
@@ -443,40 +441,7 @@ class SoAEngine:
         net.phase_routers = (rc, va, sa)
         self.inner.cycle = self.cycle
 
-    # -- public Simulator API --------------------------------------------------
-
-    def run(self, cycles: int) -> int:
-        """Advance the simulation by ``cycles``; returns the current cycle."""
-        end = self.cycle + cycles
-        while self.cycle < end:
-            self._tick()
-        return self.cycle
-
-    def run_until(self, predicate, max_cycles: int, *, monotone: bool = True) -> bool:
-        """Run until ``predicate()`` holds; False if ``max_cycles`` elapsed.
-
-        There is no idle skipping here, so ``monotone`` is accepted for
-        API parity and ignored — the predicate is checked every cycle.
-        """
-        deadline = self.cycle + max_cycles
-        while self.cycle < deadline:
-            if predicate():
-                return True
-            self._tick()
-        return predicate()
-
-    def drain(self, max_cycles: int = 200_000) -> bool:
-        """Run until the network is completely empty of flits and backlog."""
-
-        def empty() -> bool:
-            snap = self.network.occupancy_snapshot()
-            return (
-                snap["buffered"] == 0
-                and snap["backlog"] == 0
-                and snap["in_network"] == 0
-            )
-
-        return self.run_until(empty, max_cycles)
+    # -- checkpoint/restore ----------------------------------------------------
 
     def snapshot(self) -> "Snapshot":
         """Flush the arrays and delegate to the object engine's snapshot."""
@@ -488,6 +453,33 @@ class SoAEngine:
         self.inner.restore(snapshot)
         self.cycle = self.inner.cycle
         self._load()
+
+    # -- event-horizon answers (asked by Simulator._skip_to_wake) ---------------
+
+    def _is_quiescent(self) -> bool:
+        return not (
+            self._rc or self._va or self._sa or self.network._pending_nic_nodes
+        )
+
+    def _next_event_cycle(self, cycle: int) -> int:
+        return min((*self._arr, *self._crq, *self._ejq), default=NEVER)
+
+    def _skip_flow_control(self, span: int) -> None:
+        # Only WBFC sleeps with per-cycle work owed: flit-level's
+        # ``next_wake`` forbids skipping and Dateline keeps no tokens.
+        if self._fc_kind != "wbfc":
+            return
+        fc = self._fc
+        rk = self._rk
+        rocc = self._rocc
+        cache = fc._traj_cache
+        moves = 0
+        for lane, k in enumerate(self._lane_k):
+            if not rocc[lane]:
+                rk[lane], disp = idle_advance(k, rk[lane], span, cache)
+                moves += disp
+        if moves:
+            fc._stats_dict["displacements"] += moves
 
     # -- the cycle ------------------------------------------------------------
 

@@ -7,8 +7,6 @@ matching the x-axis of the paper's latency-throughput figures.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..network.flit import Packet
@@ -25,13 +23,10 @@ class SyntheticTraffic:
 
     Implements the event-horizon wake contract (see API.md):
     :meth:`next_active_cycle` tells the engine the first cycle of a
-    quiescent span at which an injection can occur.  By default it draws
-    the very same per-cycle Bernoulli vectors :meth:`step` would have
-    drawn, so a skipped span consumes the RNG stream identically and the
-    run stays bit-identical to a ticked one.  ``fast_forward=True`` opts
-    into sampling the gap geometrically instead — statistically exact and
-    O(1) per gap, but a *different* RNG consumption, so recorded golden
-    traces no longer apply.
+    quiescent span at which an injection can occur.  It draws the very
+    same per-cycle Bernoulli vectors :meth:`step` would have drawn, so a
+    skipped span consumes the RNG stream identically and the run stays
+    bit-identical to a ticked one.
     """
 
     def __init__(
@@ -40,7 +35,6 @@ class SyntheticTraffic:
         injection_rate: float,
         lengths: LengthDistribution | None = None,
         seed: int = 1,
-        fast_forward: bool = False,
     ):
         if injection_rate < 0:
             raise ValueError("injection_rate must be >= 0 flits/node/cycle")
@@ -52,7 +46,6 @@ class SyntheticTraffic:
         self.packets_created = 0
         #: Probability a node starts a packet on a given cycle.
         self.packet_probability = injection_rate / self.lengths.mean
-        self.fast_forward = fast_forward
         #: Bernoulli row pre-drawn by ``next_active_cycle`` for the wake
         #: cycle the engine is about to tick: ``(cycle, start_indices)``.
         self._stash: tuple[int, np.ndarray] | None = None
@@ -61,9 +54,9 @@ class SyntheticTraffic:
         # RNG-stream-position contract: every ticked cycle consumes exactly
         # one Bernoulli row (plus per-packet destination/length draws), in
         # cycle order.  Both engine backends (object, soa) call this
-        # same method once per cycle, so a mid-run backend handoff resumes
-        # at the identical stream position; only ``fast_forward`` (rejected
-        # by the array backend with a witness) draws a different stream.
+        # same method once per ticked cycle and ``next_active_cycle`` over
+        # skipped spans, so a mid-run backend handoff resumes at the
+        # identical stream position.
         if self.packet_probability <= 0:
             return
         stash = self._stash
@@ -112,8 +105,6 @@ class SyntheticTraffic:
             # further span can open.
             return self._stash[0]
         n = network.topology.num_nodes
-        if self.fast_forward:
-            return self._next_active_geometric(start, end, n)
         p = self.packet_probability
         rng_random = self.rng.random
         for cycle in range(start, end):
@@ -123,32 +114,6 @@ class SyntheticTraffic:
                 self._stash = (cycle, starts)
                 return cycle
         return end
-
-    def _next_active_geometric(self, start: int, end: int, n: int) -> int:
-        """O(1) gap sampling: statistically exact, different RNG stream.
-
-        The first cycle with >= 1 arrival is ``start + G - 1`` with ``G``
-        geometric over success probability ``1 - (1-p)^n``; the index of
-        the first firing node is then truncated-geometric over ``0..n-1``
-        (conditioned on at least one success), and the remaining nodes
-        after it fire independently with probability ``p`` each.
-        """
-        p = self.packet_probability
-        if p >= 1.0:
-            self._stash = (start, np.arange(n))
-            return start
-        q = 1.0 - p
-        p_any = 1.0 - q**n
-        gap = int(self.rng.geometric(p_any))
-        cycle = start + gap - 1
-        if cycle >= end:
-            return end
-        u = float(self.rng.random())
-        first = int(math.log1p(-u * p_any) / math.log(q))
-        first = min(max(first, 0), n - 1)
-        rest = first + 1 + np.nonzero(self.rng.random(n - first - 1) < p)[0]
-        self._stash = (cycle, np.concatenate(([first], rest)))
-        return cycle
 
     def stop(self) -> None:
         """Stop offering new packets (the drain phase of a measurement)."""

@@ -24,6 +24,7 @@ from repro.registry import ENGINE_BACKENDS
 from repro.sim.config import SimulationConfig
 from repro.sim.deadlock import Watchdog
 from repro.sim.engine import BackendUnsupported
+from repro.sim.kernels import displacement_pass, idle_advance
 from repro.sim.spec import ScenarioSpec, prepare
 
 # -- snapshot normalization ----------------------------------------------------
@@ -144,19 +145,20 @@ class TestHandoff:
     """Snapshot under one backend, resume under the other, match a
     never-paused object-engine reference at the same cycle."""
 
-    def _prepared(self, backend):
+    def _prepared(self, backend, rate=0.25, skip_idle=None):
         spec = ScenarioSpec(
             design="WBFC-1VC",
             topology="torus:4x4",
-            injection_rate=0.25,
+            injection_rate=rate,
             seed=7,
             backend=backend,
         )
         prepared = prepare(spec)
-        if backend == "object":
-            prepared.simulator.skip_idle = False
-        else:
-            assert prepared.backend == backend, prepared.backend_unsupported
+        assert prepared.backend == backend, prepared.backend_unsupported
+        if skip_idle is None:
+            # The object leg is the plain ticked reference by default.
+            skip_idle = backend != "object"
+        prepared.simulator.skip_idle = skip_idle
         return prepared
 
     @pytest.fixture(scope="class")
@@ -191,6 +193,32 @@ class TestHandoff:
         a.simulator.snapshot()
         a.simulator.run(1000)
         assert normalize(a.simulator.snapshot().state) == reference_state
+
+    @pytest.mark.parametrize("src,dst", [("object", "soa"), ("soa", "object")])
+    def test_handoff_at_pending_wake_point(self, src, dst):
+        """A monotone ``run_until`` hands control back on the wake cycle a
+        skip landed on, the workload's pre-drawn Bernoulli row still
+        stashed; the other backend must consume it like a run that never
+        paused (and never skipped)."""
+        rate, stop, end = 0.004, 450, 1500
+        ref = self._prepared("object", rate)
+        ref.simulator.run(end)
+
+        a = self._prepared(src, rate, skip_idle=True)
+        sim = a.simulator
+        sim.run_until(lambda: sim.cycle >= stop, end)
+        assert a.workload._stash is not None, (
+            "scenario drift: the stop no longer lands on a pending wake "
+            "point; pick a stop cycle inside an idle gap"
+        )
+        snap = sim.snapshot()
+        b = self._prepared(dst, rate, skip_idle=True)
+        b.simulator.restore(snap)
+        assert b.workload._stash is not None
+        b.simulator.run(end - b.simulator.cycle)
+        assert normalize(b.simulator.snapshot().state) == normalize(
+            ref.simulator.snapshot().state
+        )
 
 
 class TestFallback:
@@ -257,13 +285,6 @@ class TestFallback:
         with pytest.raises(BackendUnsupported) as exc_info:
             ENGINE_BACKENDS.create("soa", sim)
         assert exc_info.value.witness == ("cycle_listeners", 1)
-
-    def test_fast_forward_workload_rejects(self):
-        prepared = prepare(self._spec(backend="object"))
-        prepared.workload.fast_forward = True
-        with pytest.raises(BackendUnsupported) as exc_info:
-            ENGINE_BACKENDS.create("soa", prepared.simulator)
-        assert exc_info.value.witness == ("workload", "fast_forward")
 
 
 class TestRegistryAndSpec:
@@ -396,3 +417,43 @@ class TestDifferential:
         )
         assert obj == got
 
+
+class TestIdleAdvance:
+    """``idle_advance`` is ``n`` full-mask displacement passes, folded."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), k=st.integers(min_value=3, max_value=8))
+    def test_matches_single_steps(self, data, k):
+        # One gray and 0..2 blacks at distinct positions, the rest white.
+        gray, *blacks = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=k - 1),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+        start = 1 << (2 * gray)
+        for pos in blacks:
+            start |= 2 << (2 * pos)
+        full = (1 << k) - 1
+
+        def stepped(key, n):
+            moves = 0
+            for _ in range(n):
+                _writes, key, disp, fwd = displacement_pass(k, key, full)
+                assert fwd == 0  # an all-bubble ring has no blocked worm
+                moves += disp
+            return key, moves
+
+        # Steps to the first repeated state == pre-period + one period.
+        seen = [start]
+        while (nxt := stepped(seen[-1], 1)[0]) not in seen:
+            seen.append(nxt)
+        lap = len(seen)
+        cache = {}
+        # From the walk's start and from a state in the middle of it (a
+        # memo hit at a nonzero trajectory position).
+        for key in (start, seen[-1]):
+            for n in (0, 1, lap - 1, lap, lap + 1, 3 * lap + 2):
+                assert idle_advance(k, key, n, cache) == stepped(key, n)

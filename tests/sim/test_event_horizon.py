@@ -8,7 +8,8 @@ scheduling").  These tests pin the two halves of that contract:
   across every flow-control family, open and closed loop, and through
   checkpoints taken mid-span.
 * **Actually skips** — a quiescent network drains in O(in-flight events)
-  ticks and an idle network advances 100k cycles without ticking once.
+  ticks and an idle network advances 100k cycles without ticking once,
+  under either engine backend (both run the one ``Simulator`` loop).
 """
 
 from __future__ import annotations
@@ -64,9 +65,33 @@ def spec_for(design: str, **overrides) -> ScenarioSpec:
     return ScenarioSpec(**kwargs)
 
 
+def count_ticks(sim) -> list[int]:
+    """Record every cycle ``sim`` ticks, on either engine (the soa
+    backend takes no cycle listeners, so wrap the cycle body itself)."""
+    ticked: list[int] = []
+    tick = sim._tick
+
+    def counted() -> None:
+        ticked.append(sim.cycle)
+        tick()
+
+    sim._tick = counted
+    return ticked
+
+
+def assert_calendars_hold_only_future_events(prepared) -> None:
+    """What the heap-free ``next_event_cycle`` minimum relies on: no stale
+    key below the current cycle and no empty bucket in any calendar."""
+    net, cycle = prepared.network, prepared.simulator.cycle
+    for calendar in (net._arrivals, net._credits, net._ejections):
+        assert all(when >= cycle and events for when, events in calendar.items())
+
+
 def run_measured(spec: ScenarioSpec, skip_idle: bool):
     """Warmup + measured window; returns (summary, fingerprint)."""
     prepared = prepare(spec)
+    if spec.design != "CBS-1VC":  # outside soa's matrix: falls back to object
+        assert prepared.backend == spec.backend, prepared.backend_unsupported
     sim = prepared.simulator
     sim.skip_idle = skip_idle
     sim.run(spec.warmup)
@@ -74,6 +99,8 @@ def run_measured(spec: ScenarioSpec, skip_idle: bool):
     collector.begin(sim.cycle)
     sim.run(spec.measure)
     collector.end(sim.cycle)
+    if spec.backend == "object":
+        assert_calendars_hold_only_future_events(prepared)
     fingerprint = (
         sim.cycle,
         prepared.network.packets_ejected,
@@ -83,9 +110,10 @@ def run_measured(spec: ScenarioSpec, skip_idle: bool):
 
 
 class TestSkipVsTickIdentity:
+    @pytest.mark.parametrize("backend", ["object", "soa"])
     @pytest.mark.parametrize("design", DESIGNS)
-    def test_open_loop_bit_identical(self, design):
-        spec = spec_for(design)
+    def test_open_loop_bit_identical(self, design, backend):
+        spec = spec_for(design, backend=backend)
         ref_summary, ref_fp = run_measured(spec, skip_idle=False)
         skip_summary, skip_fp = run_measured(spec, skip_idle=True)
         assert skip_summary == ref_summary
@@ -125,6 +153,17 @@ class TestSkipVsTickIdentity:
             f"{IDLE_RATE}; the event horizon is not engaging"
         )
 
+    def test_soa_ticks_fewer_cycles_than_it_simulates(self):
+        prepared = prepare(spec_for("WBFC-2VC", backend="soa"))
+        assert prepared.backend == "soa", prepared.backend_unsupported
+        sim = prepared.simulator
+        ticked = count_ticks(sim)
+        assert sim.run(3000) == 3000
+        assert len(ticked) < 2000, (
+            f"soa ticked {len(ticked)} of 3000 cycles at rate {IDLE_RATE}; "
+            "it is not running the skipping loop"
+        )
+
 
 class TestQuiescentDrain:
     def test_drain_takes_o_events_ticks(self):
@@ -155,6 +194,20 @@ class TestQuiescentDrain:
         assert sim.cycle == start + 100_000
         assert counter.ticks == 0
         assert counter.skipped == 100_000
+
+    def test_idle_soa_network_advances_without_ticking(self):
+        spec = spec_for("WBFC-2VC", injection_rate=0.1, backend="soa")
+        prepared = prepare(spec)
+        assert prepared.backend == "soa", prepared.backend_unsupported
+        sim, workload = prepared.simulator, prepared.workload
+        sim.run(300)
+        workload.stop()
+        assert sim.drain()
+        ticked = count_ticks(sim)
+        start = sim.cycle
+        sim.run(100_000)
+        assert sim.cycle == start + 100_000
+        assert ticked == []
 
     def test_contract_less_listener_disables_skipping(self):
         # Graceful degradation: a legacy listener (no next_wake/skip_span)
@@ -192,21 +245,36 @@ class TestWakeStateCheckpoint:
         assert twin.workload._stash is not None
         assert _resume_measured(twin, spec.measure) == (ref_summary, ref_fp)
 
-    def test_event_heap_survives_restore(self):
+    def test_next_event_cycle_survives_restore_and_flush(self):
+        # next_event_cycle is derived from the calendars alone, so it must
+        # read the same after a restore into a twin and after the soa
+        # engine flushes its array calendars back into the object network.
         spec = spec_for("WBFC-2VC", injection_rate=0.1)
         baseline = prepare(spec)
         sim = baseline.simulator
         sim.run(150)
         snap = sim.snapshot()
         reference = baseline.network.next_event_cycle(sim.cycle)
+        assert sim.cycle <= reference < NEVER  # flits are in flight
+        assert_calendars_hold_only_future_events(baseline)
 
         twin = prepare(spec)
         twin.simulator.restore(snap)
         assert twin.network.next_event_cycle(twin.simulator.cycle) == reference
-        # The restored heap must keep driving the horizon correctly.
+        assert_calendars_hold_only_future_events(twin)
+
+        soa = prepare(dataclasses.replace(spec, backend="soa"))
+        assert soa.backend == "soa", soa.backend_unsupported
+        soa.simulator.run(150)
+        soa.simulator.snapshot()  # flush: arrays -> object graph
+        assert soa.network.next_event_cycle(soa.simulator.cycle) == reference
+        assert_calendars_hold_only_future_events(soa)
+
+        # The restored calendars must keep driving the horizon correctly.
         sim.run(600)
         twin.simulator.run(600)
         assert twin.network.packets_ejected == baseline.network.packets_ejected
+        assert_calendars_hold_only_future_events(twin)
 
 
 def _resume_measured(prepared, measure):
