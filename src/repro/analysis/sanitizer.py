@@ -27,7 +27,8 @@ Checked on a **sampled deep pass** every ``sanitize_interval`` cycles
   network-level phase router sets vs the per-router sets.
 * The pending-NIC set vs actual NIC source queues.
 * WBFC auxiliary counters — CI non-negativity, the ``_CounterDict``
-  nonzero index, and each ring lane's occupied-buffer count.
+  nonzero index, and each ring lane's occupied-buffer count and
+  worm-bubble mask.
 """
 
 from __future__ import annotations
@@ -270,12 +271,3 @@ class InvariantSanitizer:
                     f"ring {ring_id}: lane bubble mask {lane.bubble_mask:#x} "
                     f"!= recount {mask:#x}"
                 )
-            if lane.color_key is not None:
-                truth = 0
-                for ivc in fc.ring_buffers[ring_id]:
-                    truth |= ivc._color.code << (2 * ivc.ring_pos)
-                if lane.color_key != truth:
-                    problems.append(
-                        f"ring {ring_id}: lane color key {lane.color_key:#x} "
-                        f"!= recount {truth:#x}"
-                    )

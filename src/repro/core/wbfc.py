@@ -76,8 +76,6 @@ Interpretation notes (where the paper under-specifies):
 
 from __future__ import annotations
 
-import math
-
 from ..flowcontrol.base import FlowControl
 from ..network.buffers import InputVC, OutputVC
 from ..network.flit import Packet
@@ -88,7 +86,6 @@ from ..sim.kernels import (
     MARK,
     displacement_pass,
     idle_advance,
-    mp_table,
     wbfc_injection_verdict,
     wbfc_transit_allows,
 )
@@ -96,6 +93,9 @@ from .colors import CODE_TO_COLOR, WBColor
 from .state import RingContext
 
 __all__ = ["WormBubbleFlowControl"]
+
+_GRAY = WBColor.GRAY.code
+_BLACK = WBColor.BLACK.code
 
 
 class _CounterDict(dict):
@@ -127,17 +127,20 @@ class _CounterDict(dict):
 
 
 class RingTokenLane:
-    """Deferred token rotation for a fully idle ring (all worm-bubbles).
+    """One ring's token ledger: the only home of its worm-bubble colors.
 
-    While a ring is idle its colors evolve as a closed deterministic
-    automaton that nothing can observe except through ``InputVC.color`` —
-    a property that flushes this lane first.  So ``pre_cycle`` merely
-    counts the steps it owes (``pending``); ``materialize`` fast-forwards
-    the colors exactly through :func:`~repro.sim.kernels.idle_advance`
-    (memoized trajectories with period detection, shared across rings)
-    and credits the skipped displacements to the stats dict.  Cost is
-    O(period) once per distinct start state and O(k) per write-back,
-    independent of how long the ring stayed idle.
+    ``key`` packs every ring buffer's color (2 bits per ring position);
+    ``InputVC.color`` is a view of it and the scheme's hooks read and
+    write it directly, under either engine.  Beside it sit the ring's
+    worm-bubble mask and occupancy count, and the deferred rotation of a
+    fully idle ring (all worm-bubbles): while a ring is idle its colors
+    evolve as a closed deterministic automaton, so ``pre_cycle`` merely
+    counts the steps it owes (``pending``) and every reader settles them
+    first — ``materialize`` fast-forwards the key exactly through
+    :func:`~repro.sim.kernels.idle_advance` (memoized trajectories with
+    period detection, shared across rings) and credits the skipped
+    displacements to the stats dict.  Cost is O(period) once per distinct
+    start state, independent of how long the ring stayed idle.
     """
 
     __slots__ = (
@@ -147,7 +150,7 @@ class RingTokenLane:
         "dirty",
         "stats",
         "traj_cache",
-        "color_key",
+        "key",
         "bubble_mask",
     )
 
@@ -167,16 +170,12 @@ class RingTokenLane:
         self.stats = stats
         self.traj_cache = traj_cache
         #: Packed 2-bit-per-buffer color vector (``WBColor.code`` at bit
-        #: ``2 * ring_pos``), or None when it must be rebuilt from the
-        #: buffers.  Maintained incrementally by the ``InputVC.color``
-        #: setter, the displacement-pass memo and ``materialize``;
-        #: invalidated by any color write that bypasses them (checkpoint
-        #: restore).
-        self.color_key = None
+        #: ``2 * ring_pos``); exact whenever ``pending`` is zero.
+        self.key = 0
         #: Bit ``ring_pos`` set iff that buffer is a worm-bubble (empty and
         #: unowned); flipped by ``on_bubble_change``.  Together with
-        #: ``color_key`` this is the exact input vector of the displacement
-        #: pass, so ``(k, color_key, bubble_mask)`` keys the shared memo.
+        #: ``key`` this is the exact input vector of the displacement
+        #: pass, so ``(k, key, bubble_mask)`` keys the shared memo.
         self.bubble_mask = 0
 
     def materialize(self) -> None:
@@ -184,20 +183,12 @@ class RingTokenLane:
         if not n:
             return
         self.pending = 0
-        buffers = self.buffers
-        key = self.color_key
-        if key is None:
-            key = 0
-            for i, b in enumerate(buffers):
-                key |= b._color.code << (i + i)
-        new_key, moves = idle_advance(len(buffers), key, n, self.traj_cache)
+        key = self.key
+        self.key, moves = idle_advance(len(self.buffers), key, n, self.traj_cache)
         if moves:
             self.stats["displacements"] += moves
-        self.color_key = new_key
-        if new_key != key:
+        if self.key != key:
             self.dirty = True
-            for i, b in enumerate(buffers):
-                b._color = CODE_TO_COLOR[(new_key >> (i + i)) & 3]
 
 
 @FLOW_CONTROLS.register("wbfc")
@@ -227,7 +218,7 @@ class WormBubbleFlowControl(FlowControl):
         #: Last cycle an injection was attempted per channel (reclaim gate).
         self._last_request: dict[tuple[int, str], int] = {}
         #: Downstream receiving buffer of each injection channel.
-        self._downstream_of: dict[tuple[int, str], object] = {}
+        self._downstream_of: dict[tuple[int, str], InputVC] = {}
         #: Sticky marker ownership per injection channel: key -> packet id.
         self.marker_owner: dict[tuple[int, str], int] = {}
         #: Reverse map: packet id -> injection-channel keys it owns.
@@ -278,8 +269,7 @@ class WormBubbleFlowControl(FlowControl):
     def validate(self) -> None:
         super().validate()
         assert self.network is not None
-        cfg = self.network.config
-        ml = math.ceil(cfg.max_packet_length / cfg.buffer_depth)
+        ml = self._ml()
         for ring in self.rings.values():
             if len(ring) < max(ml + 1, 2):
                 raise ValueError(
@@ -292,8 +282,11 @@ class WormBubbleFlowControl(FlowControl):
     def initialize_state(self) -> None:
         assert self.network is not None
         cfg = self.network.config
-        ml = math.ceil(cfg.max_packet_length / cfg.buffer_depth)
-        self._mp_by_length = mp_table(cfg.max_packet_length, cfg.buffer_depth)
+        ml = self._ml()
+        self._mp_by_length = [0] + [
+            self.m_value(length, cfg.buffer_depth)
+            for length in range(1, cfg.max_packet_length + 1)
+        ]
         for ring_id, buffers in self.ring_buffers.items():
             self.ml[ring_id] = ml
             lane = RingTokenLane(buffers, self._stats_dict, self._traj_cache)
@@ -341,23 +334,18 @@ class WormBubbleFlowControl(FlowControl):
         # The lanes alias _stats_dict; update in place so they keep seeing it.
         self._stats_dict.clear()
         self._stats_dict.update(state["stats"])
-        # Colors were restored directly into the buffers (lanes were flushed
-        # at capture, so no rotation is owed); recount the occupancy each
-        # lane derives from its buffers.
+        # Each buffer's restore wrote its color into the lane key (and
+        # dropped any rotation the lane owed); owners and flits bypassed
+        # the setters, so recount what the lanes derive from them.
         self._recount_lanes()
 
     def _recount_lanes(self) -> None:
-        """Re-derive every lane's buffer-dependent state from its buffers.
-
-        Used after any bulk write that bypasses the color/owner setters —
-        checkpoint restore, and the SoA backend's snapshot flush — so the
-        lanes' occupancy counts, bubble masks and packed color keys match
-        the buffers again.
-        """
+        """Re-derive every lane's occupancy count and bubble mask from its
+        buffers' flits and owners, after a checkpoint restore wrote those
+        without firing ``on_bubble_change``.  Colors are not touched: the
+        lane key is their only store."""
         for lane in self._lane_list:
-            lane.pending = 0
             lane.dirty = True
-            lane.color_key = None
             occupied = 0
             mask = 0
             for pos, b in enumerate(lane.buffers):
@@ -381,9 +369,7 @@ class WormBubbleFlowControl(FlowControl):
         precondition ``validate()`` enforces — re-checked here so the
         certifier can score rings of a not-yet-validated configuration.
         """
-        assert self.network is not None
-        cfg = self.network.config
-        ml = math.ceil(cfg.max_packet_length / cfg.buffer_depth)
+        ml = self._ml()
         ring = self.rings.get(ring_id)
         if ring is None or len(ring) < max(ml + 1, 2):
             return None
@@ -404,9 +390,14 @@ class WormBubbleFlowControl(FlowControl):
     @staticmethod
     def m_value(length: int, wb_capacity: int) -> int:
         """Minimal number of worm-bubbles needed to receive a packet."""
-        # Integer ceiling division: exact, and cheaper than math.ceil on
-        # the VA retry path where this runs per injection attempt.
+        # Integer ceiling division: exact where a float ceil is not.
         return -(-length // wb_capacity)
+
+    def _ml(self) -> int:
+        """``ML``: :meth:`m_value` of the longest packet the config allows."""
+        assert self.network is not None
+        cfg = self.network.config
+        return self.m_value(cfg.max_packet_length, cfg.buffer_depth)
 
     # -- injection rules (Section 3.3) -----------------------------------------
 
@@ -429,17 +420,23 @@ class WormBubbleFlowControl(FlowControl):
         if ring_id is None:
             # Escape hop outside any ring (e.g. mesh): no restriction.
             return True
+        lane = ivc.color_lane
+        if lane.pending:
+            lane.materialize()
+        shift = ivc.ring_pos * 2
+        code = (lane.key >> shift) & 3
         if in_ring:
             # Equation (4): a same-ring move needs the empty buffer the
             # caller already verified — plus the marked-WB passage rule
-            # (see module notes), evaluated by the shared transit kernel.
+            # (see module notes), evaluated by the transit kernel.
+            if not code:
+                # WHITE target, the common case: admitted unconditionally.
+                return True
             ctx = packet.current_ctx
             if ctx is None:
-                return wbfc_transit_allows(
-                    ivc.color.code, False, 0, False, 0, 0, 0
-                )
+                return wbfc_transit_allows(code, False, 0, False, 0, 0, 0)
             return wbfc_transit_allows(
-                ivc.color.code,
+                code,
                 True,
                 ctx.ch,
                 ctx.gray_entitled,
@@ -453,18 +450,17 @@ class WormBubbleFlowControl(FlowControl):
         # escape buffer has the configured depth, and this runs per VA
         # injection attempt.
         mp = self._mp_by_length[packet.length]
-        color = ivc.color
         if mp == 1:
             # Short packets never touch the shared counter, so a long
             # packet's marker ownership does not gate them and CI is not
             # even read (the key may be unranked under direct test pokes).
             verdict = wbfc_injection_verdict(
-                color.code, 1, 0, False, self.ml[ring_id], self.black_reentry
+                code, 1, 0, False, self.ml[ring_id], self.black_reentry
             )
         else:
             owner = self.marker_owner.get(key)
             verdict = wbfc_injection_verdict(
-                color.code,
+                code,
                 mp,
                 self.ci[key],
                 owner is not None and owner != packet.pid,
@@ -475,7 +471,8 @@ class WormBubbleFlowControl(FlowControl):
             return True
         if verdict == MARK:
             # Step 2: reserve — mark the white WB black, claim the counter.
-            ivc.color = WBColor.BLACK
+            lane.key += _BLACK << shift
+            lane.dirty = True
             self.ci[key] += 1
             self.marker_owner[key] = packet.pid
             self._owned_keys[packet.pid] = key
@@ -491,6 +488,11 @@ class WormBubbleFlowControl(FlowControl):
         if ivc.ring_id is None:
             return
         probes = self.probes if self.probes.active else None
+        lane = ivc.color_lane
+        if lane.pending:
+            lane.materialize()
+        shift = ivc.ring_pos * 2
+        code = (lane.key >> shift) & 3
         if in_ring:
             ctx = packet.current_ctx
             if ctx is None or ctx.ring_id != ivc.ring_id:
@@ -502,7 +504,7 @@ class WormBubbleFlowControl(FlowControl):
             # (Step 3), otherwise displace the color backward as debt —
             # permitted only for single-buffer packets (allow_escape
             # enforced it), whose tail frees the upstream buffer promptly.
-            if ivc.color is WBColor.BLACK:
+            if code == _BLACK:
                 if ctx.ch > 0:
                     ctx.ch -= 1
                     self._stats_dict["unmarks"] += 1
@@ -512,7 +514,7 @@ class WormBubbleFlowControl(FlowControl):
                     ctx.color_debt.append(WBColor.BLACK)
                     if probes:
                         probes.fc_event("wbfc_black_debt", ivc.ring_id)
-            elif ivc.color is WBColor.GRAY:
+            elif code == _GRAY:
                 if (
                     packet.length <= ivc.capacity
                     or ctx.flits_entered >= packet.length
@@ -540,7 +542,7 @@ class WormBubbleFlowControl(FlowControl):
             self.ci[key] = 0
             if probes and ctx.ch:
                 probes.ci_update(node, ivc.ring_id, -ctx.ch, "inject")
-            if ivc.color is WBColor.BLACK:
+            if code == _BLACK:
                 if not (self.black_reentry and ctx.ch >= 1):
                     raise RuntimeError("injection granted into a black worm-bubble")
                 # Unmark-and-enter: one reservation pays for the black WB.
@@ -549,7 +551,7 @@ class WormBubbleFlowControl(FlowControl):
                 self._stats_dict["black_reentries"] += 1
                 if probes:
                     probes.fc_event("wbfc_black_reentry", ivc.ring_id)
-            if ivc.color is WBColor.GRAY:
+            if code == _GRAY:
                 ctx.holds_gray = True
                 ctx.gray_entitled = True
                 self._stats_dict["gray_grabs"] += 1
@@ -558,9 +560,11 @@ class WormBubbleFlowControl(FlowControl):
             packet.current_ctx = ctx
         ctx.occupied += 1
         ivc.occupant_ctx = ctx
-        if probes and ivc.color is not WBColor.WHITE:
-            probes.wb_color(ivc, ivc.color, WBColor.WHITE, "park")
-        ivc.color = WBColor.WHITE  # parked while occupied
+        if code:
+            if probes:
+                probes.wb_color(ivc, CODE_TO_COLOR[code], WBColor.WHITE, "park")
+            lane.key -= code << shift  # parked white while occupied
+            lane.dirty = True
 
     def on_leave_ring(self, packet: Packet, node: int, cycle: int) -> None:
         ctx: RingContext | None = packet.current_ctx
@@ -585,7 +589,11 @@ class WormBubbleFlowControl(FlowControl):
         settled = ctx.settle_vacated_color()
         if self.probes.active and settled is not WBColor.WHITE:
             self.probes.wb_color(ivc, WBColor.WHITE, settled, "settle")
-        ivc.color = settled
+        # No rotation can be owed here: the ring has held this occupant.
+        lane = ivc.color_lane
+        shift = ivc.ring_pos * 2
+        lane.key += (settled.code - ((lane.key >> shift) & 3)) << shift
+        lane.dirty = True
         ivc.occupant_ctx = None
 
     def on_grant(self, packet: Packet, node: int, cycle: int) -> None:
@@ -626,11 +634,10 @@ class WormBubbleFlowControl(FlowControl):
         # forward (demand-driven) pass has no blocked worm to serve and
         # the backward pass is a closed color automaton — its steps are
         # *deferred* onto the ring's :class:`RingTokenLane` and replayed
-        # exactly by any observer (the ``InputVC.color`` property flushes
-        # the lane), so skipping here is bit-invisible.  For occupied
-        # rings, occupancy cannot change inside pre_cycle and color swaps
-        # are mirrored into the local array as they happen, so decisions
-        # are bit-identical to checking the buffers live.
+        # exactly by any observer (every reader of the lane key, the
+        # ``InputVC.color`` view included, settles ``pending`` first), so
+        # skipping here is bit-invisible.  For occupied rings the pass is
+        # a pure function of the lane's (key, bubble mask) vector.
         if self.reclaim_banked_ci and self.ci.nonzero_keys:  # type: ignore[attr-defined]
             self._reclaim(cycle)
         stats = self._stats_dict
@@ -648,44 +655,32 @@ class WormBubbleFlowControl(FlowControl):
                 # nothing; both passes are pure in that vector, so this
                 # one would move nothing too.
                 continue
-            buffers = lane.buffers
-            k = len(buffers)
+            k = len(lane.buffers)
             if lane.occupied > k - 2:
                 # At most one bubble left: both passes need an adjacent
                 # bubble pair, so neither can move anything.  (dirty is
                 # left set; occupancy changes re-trigger it anyway.)
                 continue
-            ckey = lane.color_key
-            if ckey is None:
-                # Rebuild the packed vector once; the setter and the memo
-                # write-back below keep it incremental from here on.
-                # Direct slot access: the lane was just settled
-                # (pending == 0), so the property would pass through.
-                ckey = 0
-                for i, b in enumerate(buffers):
-                    ckey |= b._color.code << (i + i)
-            vec = (k, ckey, lane.bubble_mask)
+            key = lane.key
+            vec = (k, key, lane.bubble_mask)
             entry = memo.get(vec)
             if entry is None:
                 if len(memo) >= 1 << 16:
                     # Unbounded only in adversarial state spaces; a clear
                     # costs one recompute per live vector.
                     memo.clear()
-                memo[vec] = entry = displacement_pass(k, ckey, lane.bubble_mask)
-            writes, new_key, disp, fwd = entry
+                memo[vec] = entry = displacement_pass(k, key, lane.bubble_mask)
+            new_key, disp, fwd = entry
             # A pass that moved tokens changed the vector (rerun next
             # cycle); a no-move pass settles the ring until a color write
             # or bubble flip dirties it again.
-            if writes:
-                for pos, code in writes:
-                    buffers[pos]._color = CODE_TO_COLOR[code]
-                lane.color_key = new_key
+            if new_key != key:
+                lane.key = new_key
                 if disp:
                     stats["displacements"] += disp
                 if fwd:
                     stats["forward_displacements"] += fwd
             else:
-                lane.color_key = ckey
                 lane.dirty = False
 
     def next_wake(self, cycle: int) -> int:
@@ -747,8 +742,16 @@ class WormBubbleFlowControl(FlowControl):
             if cycle - self._last_request.get(key, -(10**9)) <= self.reclaim_patience:
                 continue
             ivc = self._downstream_of[key]
-            if ivc.is_worm_bubble and ivc.color is WBColor.BLACK:  # type: ignore[attr-defined]
-                ivc.color = WBColor.WHITE  # type: ignore[attr-defined]
+            lane = ivc.color_lane
+            if lane.pending:
+                lane.materialize()
+            pos = ivc.ring_pos
+            shift = pos * 2
+            # The lane's bubble bit is ``ivc.is_worm_bubble``, kept by
+            # ``on_bubble_change``.
+            if (lane.bubble_mask >> pos) & 1 and (lane.key >> shift) & 3 == _BLACK:
+                lane.key -= _BLACK << shift
+                lane.dirty = True
                 self.ci[key] = ci - 1
                 self._stats_dict["reclaims"] += 1
                 if self.probes.active:

@@ -13,7 +13,7 @@ import enum
 from collections import deque
 from typing import TYPE_CHECKING
 
-from ..core.colors import WBColor
+from ..core.colors import CODE_TO_COLOR, WBColor
 from .flit import Flit, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -44,7 +44,6 @@ class InputVC:
         "_state",
         "scheduler",
         "order",
-        "_color",
         "color_lane",
         "ring_pos",
         "ring_id",
@@ -84,13 +83,10 @@ class InputVC:
         #: work-proportional kernel matches the full scan bit-for-bit.
         self.order = 0
         self._state = VCState.IDLE
-        #: Worm-bubble color; meaningful while the buffer is empty.
-        self._color = WBColor.WHITE
-        #: Deferred-rotation lane this buffer's ring belongs to (WBFC);
-        #: any object with ``pending`` and ``materialize()``.  The color
-        #: property flushes it before every access, so readers always see
-        #: exact token positions even when idle-ring displacement was
-        #: batched.
+        #: Token lane of this buffer's ring (WBFC), the one home of its
+        #: worm-bubble color: ``key`` holds 2 bits per ring position,
+        #: ``pending`` counts idle rotations ``materialize()`` still owes.
+        #: None for buffers that carry no token.
         self.color_lane = None
         #: Position of this buffer along its ring's buffer list (WBFC);
         #: the bit index of this buffer in the lane's packed vectors.
@@ -128,27 +124,34 @@ class InputVC:
 
     @property
     def color(self) -> WBColor:
+        """Worm-bubble color (meaningful while the buffer is empty): a view
+        of this buffer's two bits in its ring lane's packed key, read after
+        settling any idle rotation the lane still owes.  A buffer on no
+        lane carries no token and reads WHITE."""
         lane = self.color_lane
-        if lane is not None and lane.pending:
+        if lane is None:
+            return WBColor.WHITE
+        if lane.pending:
             lane.materialize()
-        return self._color
+        return CODE_TO_COLOR[(lane.key >> (self.ring_pos * 2)) & 3]
 
     @color.setter
     def color(self, value: WBColor) -> None:
         lane = self.color_lane
-        if lane is not None:
-            if lane.pending:
-                lane.materialize()
-            # A color write may enable a displacement the lane's no-move
-            # memo ruled out; tell the eager pass to re-examine the ring.
-            lane.dirty = True
-            key = lane.color_key
-            if key is not None:
-                # Keep the packed color vector exact without an O(k) rebuild.
-                lane.color_key = key + (
-                    (value.code - self._color.code) << (self.ring_pos * 2)
+        if lane is None:
+            if value is not WBColor.WHITE:
+                raise ValueError(
+                    f"{self.label()} is on no token lane and cannot hold "
+                    f"a {value.name} worm-bubble"
                 )
-        self._color = value
+            return
+        if lane.pending:
+            lane.materialize()
+        shift = self.ring_pos * 2
+        lane.key += (value.code - ((lane.key >> shift) & 3)) << shift
+        # A color write may enable a displacement the lane's no-move
+        # memo ruled out; tell the eager pass to re-examine the ring.
+        lane.dirty = True
 
     @property
     def owner(self) -> Packet | None:
@@ -249,14 +252,20 @@ class InputVC:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Write the captured slots back directly, bypassing the property
-        setters: scheduler stage sets, occupancy counters and WBFC lane
-        bookkeeping are all recomputed wholesale after every buffer is in
-        place, so firing incremental hooks here would double-count."""
+        """Write the captured slots back directly, bypassing the owner and
+        state setters: scheduler stage sets, occupancy counters and WBFC
+        lane occupancy are all recomputed wholesale after every buffer is
+        in place, so firing incremental hooks here would double-count.
+        The color goes through the lane (its only home)."""
         self.flits = deque(state["flits"])
         self._owner = state["owner"]
         self._state = state["state"]
-        self._color = state["color"]
+        if self.color_lane is not None:
+            # An idle rotation the restore target still owes belongs to
+            # the state being overwritten; it must never replay onto the
+            # restored colors.
+            self.color_lane.pending = 0
+        self.color = state["color"]
         self.route_candidates = tuple(state["route_candidates"])
         self.out_port = state["out_port"]
         self.out_vc = state["out_vc"]

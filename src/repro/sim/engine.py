@@ -24,9 +24,10 @@ loop, never to wrong results.
 
 This loop is the only one: an array backend (``repro.sim.soa``)
 subclasses :class:`Simulator` and replaces the cycle body (``_tick``)
-and the three questions the skip asks of the network state
-(``_is_quiescent``, ``_next_event_cycle``, ``_skip_flow_control``) with
-answers read from its arrays.
+and the two questions the skip asks of the router pipeline state
+(``_is_quiescent``, ``_next_event_cycle``) with answers read from its
+arrays.  Flow-control state is never arrayed, so ``next_wake`` and
+``skip_cycles`` are asked of the scheme itself under either engine.
 """
 
 from __future__ import annotations
@@ -182,10 +183,6 @@ class Simulator:
         """Earliest cycle ``>= cycle`` with a scheduled delivery."""
         return self.network.next_event_cycle(cycle)
 
-    def _skip_flow_control(self, span: int) -> None:
-        """Account ``span`` skipped cycles of flow-control maintenance."""
-        self.network.flow_control.skip_cycles(span)
-
     def _skip_to_wake(self, end: int) -> bool:
         """From a quiescent boundary, jump to the next possible wake cycle.
 
@@ -228,7 +225,7 @@ class Simulator:
         # Cycles [cycle, horizon) are provably inert for every component;
         # account for them in O(1) each and jump.
         span = horizon - cycle
-        self._skip_flow_control(span)
+        network.flow_control.skip_cycles(span)
         network.flits_moved_this_cycle = 0
         watchdog_skip(cycle, horizon)
         for listener in self.cycle_listeners:

@@ -1,12 +1,11 @@
-"""Backend-neutral WBFC decision kernels.
+"""Pure WBFC decision kernels.
 
-The engine backend seam: the *flow-control* decisions of a cycle — WBFC
-injection and transit verdicts, worm-bubble displacement, idle-ring token
-rotation — live here as pure functions of plain ints, shared by the
-object engine (``repro.sim.engine`` driving ``repro.network.router``) and
-the structure-of-arrays backend (``repro.sim.soa``).  For those rules
-bit-identity between backends reduces to both calling these kernels on
-the same inputs in the same order.  The router pipeline itself
+The pure statement of Equations (4)-(6) and Section 3.6: WBFC injection
+and transit verdicts, worm-bubble displacement, idle-ring token rotation,
+as functions of plain ints.  Their callers are the flow-control schemes
+(``repro.core.wbfc``, ``repro.core.flit_level``), which apply the side
+effects on the one live token state; both engines reach the rules only
+through the schemes' ``FlowControl`` hooks.  The router pipeline itself
 (downstream admission per Equations 1-3, allocation, arbitration) is
 *not* here: each engine states it over its own state layout
 (``Router._ovc_admits`` / the inlined tests in ``soa.py``) and the
@@ -24,7 +23,6 @@ __all__ = [
     "ALLOW",
     "MARK",
     "DENY",
-    "mp_table",
     "wbfc_transit_allows",
     "wbfc_injection_verdict",
     "flit_injection_verdict",
@@ -39,14 +37,7 @@ MARK = 0
 DENY = -1
 
 
-# -- WBFC (Definition 3 and Sections 3.3-3.6) --------------------------------
-
-
-def mp_table(max_packet_length: int, buffer_depth: int) -> list[int]:
-    """``Mp = ceil(length / depth)`` indexed by packet length (0 unused)."""
-    return [0] + [
-        -(-length // buffer_depth) for length in range(1, max_packet_length + 1)
-    ]
+# -- WBFC (Sections 3.3-3.6) -------------------------------------------------
 
 
 def wbfc_transit_allows(
@@ -142,12 +133,11 @@ def displacement_pass(k: int, color_key: int, bubble_mask: int) -> tuple:
     """One proactive displacement pass (Section 3.6) as a pure function of
     a ring's packed (colors, worm-bubbles) vector.
 
-    Returns ``(writes, new_color_key, displacements, forward)`` where
-    ``writes`` is a tuple of ``(ring_pos, color_code)`` buffer write-backs.
-    Callers memoize per distinct vector (``WormBubbleFlowControl._pass_memo``,
-    shared with the SoA backend): a ring under traffic revisits a small set
-    of vectors, so the two O(k) scans below amortize to one dict lookup per
-    dirty lane per cycle.
+    Returns ``(new_color_key, displacements, forward)``; the pass moved
+    tokens iff ``new_color_key != color_key``.  The caller memoizes per
+    distinct vector (``WormBubbleFlowControl._pass_memo``): a ring under
+    traffic revisits a small set of vectors, so the two O(k) scans below
+    amortize to one dict lookup per dirty lane per cycle.
     """
     # All-integer scan: color codes (WHITE=0, GRAY=1, BLACK=2) straight out
     # of the packed key, bubbles as mask bits.
@@ -156,7 +146,6 @@ def displacement_pass(k: int, color_key: int, bubble_mask: int) -> tuple:
     codes = [(color_key >> (i + i)) & 3 for i in range(k)]
     moved = 0
     disp = fwd = 0
-    writes = []
     if 2 in codes:
         for i in range(k):
             j = i + 1 if i + 1 < k else 0
@@ -175,8 +164,6 @@ def displacement_pass(k: int, color_key: int, bubble_mask: int) -> tuple:
                 codes[j] = ci
                 codes[i] = 2
                 moved |= bit
-                writes.append(i)
-                writes.append(j)
                 disp += 1
     for i in range(k):
         c = codes[i]
@@ -199,20 +186,13 @@ def displacement_pass(k: int, color_key: int, bubble_mask: int) -> tuple:
             codes[i] = 0
             codes[j] = c
             moved |= bit
-            writes.append(i)
-            writes.append(j)
             fwd += 1
     new_key = 0
     for i in range(k):
         c = codes[i]
         if c:
             new_key |= c << (i + i)
-    return (
-        tuple((i, codes[i]) for i in sorted(writes)),
-        new_key,
-        disp,
-        fwd,
-    )
+    return new_key, disp, fwd
 
 
 def idle_advance(k: int, color_key: int, n: int, cache: dict) -> tuple[int, int]:
@@ -236,7 +216,7 @@ def idle_advance(k: int, color_key: int, n: int, cache: dict) -> tuple[int, int]
         cum = [0]
         index = {color_key: 0}
         while True:
-            _writes, nxt, moves, _fwd = displacement_pass(k, states[-1], full)
+            nxt, moves, _fwd = displacement_pass(k, states[-1], full)
             if nxt in index:
                 trajectory = (states, cum, index[nxt], moves)
                 break

@@ -1,14 +1,12 @@
 """Structure-of-arrays engine backend (``backend="soa"``).
 
 The object engine walks a graph of ``InputVC``/``OutputVC``/``Router``
-objects every cycle; this backend flattens that graph into parallel flat
-arrays indexed by ``idx = (node * num_ports + port) * num_vcs + vc`` and
-drives the exact same phase schedule over them.  The win is locality and
-dispatch: the hot loops touch small Python lists of ints instead of
-chasing attributes through ``__slots__`` objects and property setters,
-and the WBFC ring color state packs into one integer per ring (2 bits
-per buffer), so the displacement pass is a memoized pure-integer kernel
-call.
+objects every cycle; this backend flattens the *router pipeline* state
+of that graph into parallel flat arrays indexed by
+``idx = (node * num_ports + port) * num_vcs + vc`` and drives the exact
+same phase schedule over them.  The win is locality and dispatch: the hot
+loops touch small Python lists of ints instead of chasing attributes
+through ``__slots__`` objects and property setters.
 
 **Bit-identity contract.**  For every supported configuration this engine
 produces results byte-for-byte identical to the object engine: the same
@@ -29,31 +27,38 @@ Anything else raises :class:`~repro.sim.engine.BackendUnsupported` with a
 machine-checkable witness, and ``prepare()`` falls back to the object
 engine (recorded in ``PreparedScenario.backend_unsupported``).
 
-Shared-live vs. arrayed state: NIC queues, packets, ring contexts, the
-flow control's counter dicts and stats, and the network's O(1) occupancy
-and activity counters are mutated in place (the object graph and the
-arrays agree on them at all times).  Dateline's hooks touch only that
-shared-live state (its ``_balance`` dict, ring contexts, and static
-buffer attributes), so this engine calls them directly instead of
-mirroring them.  Only the per-buffer pipeline state (flits deque binding,
-owner, stage, ready cycle, route, colors, credits) and the event
-calendars live in arrays, written back by ``_flush()`` at snapshot
-boundaries and before any watchdog raise.
+**Shared-live vs. arrayed state.**  Everything a flow-control scheme owns
+is shared-live, never mirrored: the ring token lanes (worm-bubble colors,
+bubble masks, occupancy counts, deferred idle rotation), flit-level slot
+colors, ``occupant_ctx``, ring contexts, counter dicts and stats — plus
+buffer owners (half of what makes a buffer a worm-bubble), NIC queues,
+packets and the network's O(1) occupancy and activity counters.  This
+engine keeps none of it; it makes the calls the object router makes, on
+the real objects, for all three schemes: ``pre_cycle``, ``allow_escape``,
+``on_acquire``, ``on_leave_ring``, ``on_grant``, ``on_vacate``,
+``on_bubble_change`` at the two places an owner change flips a ring
+buffer's bubble status, and ``on_slot_filled`` / ``on_slot_freed`` in
+non-atomic mode.  So colors, the per-ring census and ``fc.stats`` read
+between ticks are exact without a snapshot.  Only the router pipeline
+state (flits deque binding, stage, ready cycle, route, credits and
+allocation mirrors, arbiter pointers) and the event calendars live in
+arrays, written back by ``_flush()`` at snapshot boundaries and before
+any watchdog raise.
+
+Two hand-overs cross that line.  Flit-level WBFC counts white slots
+through the upstream credit view, which is arrayed, so before each
+non-atomic ``allow_escape`` the credit count is written onto the mirror
+(``ovc.credits = cred[didx]``; ``_flush`` writes the same field anyway).
+And on atomic delivery the three-line ``flits_entered`` update of
+``WormBubbleFlowControl.on_slot_filled`` stays inline in ``_deliver``
+(reading the live ``occupant_ctx`` and owner): one method call per
+delivered flit is the one hook whose dispatch cost shows.
 
 **One driver.**  :class:`SoAEngine` is a :class:`~repro.sim.engine.Simulator`:
 ``run``/``run_until``/``drain`` and the event-horizon skip are inherited,
-and only the cycle body (``_tick``) and the three questions the skip asks
-of the network state are answered from the arrays.
-
-Idle-ring token rotation is *eager per ticked cycle* here: the object
-engine defers the all-bubble backward pass onto a
-:class:`~repro.core.wbfc.RingTokenLane` and replays it on observation;
-this engine runs the memoized displacement kernel on every cycle it
-ticks, and skipped spans go through the same
-:func:`~repro.sim.kernels.idle_advance` the object lanes replay with.
-Both materialize to the same colors at every observation point (the
-object lane flushes before any read), so the difference is invisible —
-see the backend parity suite.
+and only the cycle body (``_tick``) and the two questions the skip asks
+of the router pipeline state are answered from the arrays.  Idle-ring
+token rotation is the lanes' own deferral under both engines.
 """
 
 from __future__ import annotations
@@ -61,23 +66,12 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
-from ..core.colors import CODE_TO_COLOR, WBColor
-from ..core.state import RingContext
 from ..network.buffers import VCState
 from ..network.switching import Switching
 from ..registry import ENGINE_BACKENDS
 from .config import NEVER
 from .deadlock import DeadlockError, StarvationError, Watchdog
 from .engine import BackendUnsupported, Simulator
-from .kernels import (
-    ALLOW,
-    MARK,
-    displacement_pass,
-    flit_injection_verdict,
-    idle_advance,
-    wbfc_injection_verdict,
-    wbfc_transit_allows,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .checkpoint import Snapshot
@@ -87,8 +81,6 @@ __all__ = ["SoAEngine"]
 #: Pipeline states by array code; index == code, ``_ST_CODE`` inverts it.
 _ST_ENUM = (VCState.IDLE, VCState.ROUTING, VCState.WAITING_VA, VCState.ACTIVE)
 _ST_CODE = {member: code for code, member in enumerate(_ST_ENUM)}
-
-_BLACK_CODE = WBColor.BLACK.code  # == 2; used in packed-lane arithmetic
 
 
 def _check_supported(sim: Simulator) -> None:
@@ -183,22 +175,11 @@ class SoAEngine(Simulator):
         self._fc = net.flow_control
         self._routing = net.routing
 
-        from ..core.flit_level import FlitLevelWBFC
-        from ..core.wbfc import WormBubbleFlowControl
-
-        fc = self._fc
-        if type(fc) is WormBubbleFlowControl:
-            self._fc_kind = "wbfc"
-        elif type(fc) is FlitLevelWBFC:
-            self._fc_kind = "flit"
-        else:
-            self._fc_kind = "dateline"
-        #: Static escape-VC choice tuple, or ``None`` when the scheme picks
-        #: dynamically (Dateline — called live, including its balance-bit
-        #: side effect, exactly once per escape attempt like the router).
-        self._esc_static = (0,) if self._fc_kind != "dateline" else None
-        #: Schemes whose ``on_grant`` releases an injection marker.
-        self._fc_marks = self._fc_kind != "dateline"
+        #: With one escape VC the scheme's choice can only be the static
+        #: ``(0,)`` (WBFC, flit-level); Dateline has two and picks
+        #: dynamically — called live, including its balance-bit side
+        #: effect, exactly once per escape attempt like the router.
+        self._esc_single = self._nev == 1
 
         # idx = (node * P + port) * V + vc; port 0 holds the NIC staging
         # slots, one per VC.
@@ -211,6 +192,9 @@ class SoAEngine(Simulator):
         self._idx_of = {id(ivc): i for i, ivc in enumerate(self._ivcs)}
         self._cap = [ivc.capacity for ivc in self._ivcs]
         self._ring = [ivc.ring_id for ivc in self._ivcs]
+        #: Upstream credit mirror of each buffer (None for NIC slots): the
+        #: ``ovc`` argument of ``allow_escape``.
+        self._feeder = [ivc.feeder for ivc in self._ivcs]
 
         # Channel wiring at port granularity: upstream (node, out_port) ->
         # downstream *base* index (its VC-0 buffer; + out_vc addresses the
@@ -226,24 +210,6 @@ class SoAEngine(Simulator):
             if table
             else [None] * (self._N * P)
         )
-        # Banked-CI reclaim watch buffer per (node, ring_id) key (WBFC
-        # family only; Dateline has no counter bank).
-        self._watch = (
-            {
-                key: self._idx_of[id(ivc)]
-                for key, ivc in self._fc._downstream_of.items()
-            }
-            if self._fc_kind != "dateline"
-            else {}
-        )
-
-        if self._fc_kind == "wbfc":
-            self._pre_cycle = self._pre_cycle_wbfc
-        elif self._fc_kind == "flit":
-            self._pre_cycle = self._pre_cycle_flit
-        else:
-            self._pre_cycle = self._pre_cycle_none
-
         #: Per-tick counter batch, drained by ``_tick``: [buffered delta,
         #: flits moved, buffer writes, buffer reads, xbar, link, va grants].
         self._acc = [0, 0, 0, 0, 0, 0, 0]
@@ -261,18 +227,15 @@ class SoAEngine(Simulator):
         """
         n = len(self._ivcs)
         self._buf = [ivc.flits for ivc in self._ivcs]
-        self._own = [ivc._owner for ivc in self._ivcs]
         self._st = [_ST_CODE[ivc._state] for ivc in self._ivcs]
         self._ready = [ivc.stage_ready for ivc in self._ivcs]
         self._outp = [ivc.out_port for ivc in self._ivcs]
         self._outv = [ivc.out_vc for ivc in self._ivcs]
         self._rcand = [ivc.route_candidates for ivc in self._ivcs]
         self._vafr = [ivc.va_first_request for ivc in self._ivcs]
-        self._octx = [ivc.occupant_ctx for ivc in self._ivcs]
         self._cred = [0] * n
         self._alloc: list = [None] * n
-        for i, ivc in enumerate(self._ivcs):
-            feeder = ivc.feeder
+        for i, feeder in enumerate(self._feeder):
             if feeder is not None:
                 self._cred[i] = feeder.credits
                 self._alloc[i] = feeder.allocated_to
@@ -321,47 +284,6 @@ class SoAEngine(Simulator):
             self._sa_in.extend(a._ptr for a in r._sa_input_arbiters)
             self._sa_out.extend(a._ptr for a in r._sa_output_arbiters)
 
-        fc = self._fc
-        self._lane_of: list[int | None] = [None] * n
-        if self._fc_kind == "wbfc":
-            lanes = fc._lane_list
-            self._lane_k = [len(lane.buffers) for lane in lanes]
-            self._ring_pos = [0] * n
-            self._rk = []
-            self._rbub = []
-            self._rocc = []
-            for li, lane in enumerate(lanes):
-                if lane.pending:
-                    lane.materialize()
-                key = mask = occ = 0
-                for pos, b in enumerate(lane.buffers):
-                    idx = idx_of[id(b)]
-                    self._lane_of[idx] = li
-                    self._ring_pos[idx] = pos
-                    key |= b._color.code << (pos * 2)
-                    if b.flits or b._owner is not None:
-                        occ += 1
-                    else:
-                        mask |= 1 << pos
-                self._rk.append(key)
-                self._rbub.append(mask)
-                self._rocc.append(occ)
-            self._rdirty = [True] * len(lanes)
-        elif self._fc_kind == "flit":
-            self._black = [0] * n
-            self._gray = [0] * n
-            black_slots = fc.black_slots
-            gray_slots = fc.gray_slots
-            for buffers in fc.ring_buffers.values():
-                for b in buffers:
-                    i = idx_of[id(b)]
-                    self._black[i] = black_slots.get(b, 0)
-                    self._gray[i] = gray_slots.get(b, 0)
-            self._fl_rings = [
-                [idx_of[id(b)] for b in buffers]
-                for buffers in fc.ring_buffers.values()
-            ]
-
     def _flush(self) -> None:
         """Write the arrays back into the object graph.
 
@@ -372,7 +294,6 @@ class SoAEngine(Simulator):
         """
         for idx, ivc in enumerate(self._ivcs):
             ivc.flits = self._buf[idx]
-            ivc._owner = self._own[idx]
             ivc._state = _ST_ENUM[self._st[idx]]
             ivc.stage_ready = self._ready[idx]
             out_port = self._outp[idx]
@@ -380,25 +301,10 @@ class SoAEngine(Simulator):
             ivc.out_vc = self._outv[idx]
             ivc.route_candidates = self._rcand[idx]
             ivc.va_first_request = self._vafr[idx]
-            ivc.occupant_ctx = self._octx[idx]
-            feeder = ivc.feeder
+            feeder = self._feeder[idx]
             if feeder is not None:
                 feeder.credits = self._cred[idx]
                 feeder.allocated_to = self._alloc[idx]
-
-        fc = self._fc
-        if self._fc_kind == "wbfc":
-            for li, lane in enumerate(fc._lane_list):
-                key = self._rk[li]
-                for pos, b in enumerate(lane.buffers):
-                    b._color = CODE_TO_COLOR[(key >> (pos * 2)) & 3]
-            fc._recount_lanes()
-        elif self._fc_kind == "flit":
-            for ring in self._fl_rings:
-                for idx in ring:
-                    ivc = self._ivcs[idx]
-                    fc.black_slots[ivc] = self._black[idx]
-                    fc.gray_slots[ivc] = self._gray[idx]
 
         net = self.network
         ivcs = self._ivcs
@@ -454,7 +360,7 @@ class SoAEngine(Simulator):
         self.cycle = self.inner.cycle
         self._load()
 
-    # -- event-horizon answers (asked by Simulator._skip_to_wake) ---------------
+    # -- event-horizon answers (asked by Simulator._advance/_skip_to_wake) ------
 
     def _is_quiescent(self) -> bool:
         return not (
@@ -463,23 +369,6 @@ class SoAEngine(Simulator):
 
     def _next_event_cycle(self, cycle: int) -> int:
         return min((*self._arr, *self._crq, *self._ejq), default=NEVER)
-
-    def _skip_flow_control(self, span: int) -> None:
-        # Only WBFC sleeps with per-cycle work owed: flit-level's
-        # ``next_wake`` forbids skipping and Dateline keeps no tokens.
-        if self._fc_kind != "wbfc":
-            return
-        fc = self._fc
-        rk = self._rk
-        rocc = self._rocc
-        cache = fc._traj_cache
-        moves = 0
-        for lane, k in enumerate(self._lane_k):
-            if not rocc[lane]:
-                rk[lane], disp = idle_advance(k, rk[lane], span, cache)
-                moves += disp
-        if moves:
-            fc._stats_dict["displacements"] += moves
 
     # -- the cycle ------------------------------------------------------------
 
@@ -490,7 +379,7 @@ class SoAEngine(Simulator):
             self.workload.step(cycle, self.network)
         self._load_nics(cycle)
         self._rc_phase(cycle)
-        self._pre_cycle(cycle)
+        self._fc.pre_cycle(cycle)
         self._va_phase(cycle)
         self._sa_phase(cycle)
         acc = self._acc
@@ -553,51 +442,32 @@ class SoAEngine(Simulator):
             acc[0] += 1
         acc[2] += 1
         packet = flit.packet
+        ivc = self._ivcs[idx]
         if self._atomic:
-            ctx = self._octx[idx]
-            if ctx is not None and self._own[idx] is packet:
+            # ``WormBubbleFlowControl.on_slot_filled``, inline (see the
+            # module notes); no other atomic scheme sets ``occupant_ctx``.
+            ctx = ivc.occupant_ctx
+            if ctx is not None and ivc._owner is packet:
                 entered = flit.index + 1
                 if entered > ctx.flits_entered:
                     ctx.flits_entered = entered
         else:
-            rid = self._ring[idx]
-            if rid is not None:
-                ctx = self._fc._packet_ctx.get((packet.pid, rid))
-                if ctx is not None:
-                    black = self._black
-                    gray = self._gray
-                    whites_left = (
-                        self._cap[idx] - len(buf) - black[idx] - gray[idx]
-                    )
-                    if whites_left >= 0:
-                        pass  # consumed a white slot
-                    elif black[idx] > 0:
-                        black[idx] -= 1
-                        if ctx.ch > 0:
-                            ctx.ch -= 1
-                            self._fc.stats["unmarks"] += 1
-                        else:
-                            ctx.color_debt.append(WBColor.BLACK)
-                    elif gray[idx] > 0:
-                        gray[idx] -= 1
-                        ctx.holds_gray = True
-                        self._fc.stats["gray_grabs"] += 1
-                    ctx.occupied += 1
+            self._fc.on_slot_filled(ivc, flit)
         if flit.is_head:
             packet.hops += 1
             if self._atomic:
-                if self._own[idx] is not packet:
-                    owner = self._own[idx]
+                owner = ivc._owner
+                if owner is not packet:
                     raise RuntimeError(
                         f"head of packet {packet.pid} arrived at "
-                        f"{self._ivcs[idx].label()} owned by "
+                        f"{ivc.label()} owned by "
                         f"{owner.pid if owner else None}"
                     )
                 self._ready[idx] = cycle + self._routing_delay
                 self._st[idx] = 1
                 self._rc.add(idx)
             elif was_front:
-                self._own[idx] = packet
+                ivc._owner = packet
                 self._ready[idx] = cycle + self._routing_delay
                 self._st[idx] = 1
                 self._rc.add(idx)
@@ -629,7 +499,7 @@ class SoAEngine(Simulator):
             buf = self._buf[idx]
             for flit in packet.make_flits():
                 buf.append(flit)
-            self._own[idx] = packet
+            self._ivcs[idx]._owner = packet
             self._ready[idx] = cycle + self._routing_delay
             st[idx] = 1
             self._rc.add(idx)
@@ -681,137 +551,6 @@ class SoAEngine(Simulator):
             and self._ring[i] == self._ring_out[pb + escape]
         )
 
-    # -- flow-control pre-cycle ------------------------------------------------
-
-    def _pre_cycle_none(self, cycle: int) -> None:
-        """Schemes without per-cycle token maintenance (Dateline)."""
-
-    def _pre_cycle_wbfc(self, cycle: int) -> None:
-        fc = self._fc
-        if fc.reclaim_banked_ci and fc.ci.nonzero_keys:
-            self._reclaim_wbfc(cycle)
-        # Memoized displacement kernel over every dirty lane.
-        rk = self._rk
-        rbub = self._rbub
-        rocc = self._rocc
-        rdirty = self._rdirty
-        lane_k = self._lane_k
-        memo = fc._pass_memo
-        stats = fc._stats_dict
-        for lane in range(len(lane_k)):
-            if not rdirty[lane]:
-                continue
-            key = rk[lane]
-            if not key:
-                # All-white lane: both passes only move black/gray tokens,
-                # so the kernel would report no writes — settle directly.
-                rdirty[lane] = False
-                continue
-            k = lane_k[lane]
-            if rocc[lane] > k - 2:
-                # At most one bubble: neither pass can move anything.
-                continue
-            vec = (k, key, rbub[lane])
-            entry = memo.get(vec)
-            if entry is None:
-                if len(memo) >= 1 << 16:
-                    memo.clear()
-                memo[vec] = entry = displacement_pass(k, key, rbub[lane])
-            writes, new_key, disp, fwd = entry
-            if writes:
-                rk[lane] = new_key
-                if disp:
-                    stats["displacements"] += disp
-                if fwd:
-                    stats["forward_displacements"] += fwd
-            else:
-                rdirty[lane] = False
-
-    def _reclaim_wbfc(self, cycle: int) -> None:
-        fc = self._fc
-        ci_map = fc.ci
-        order = fc._ci_order
-        keys = ci_map.nonzero_keys
-        if keys <= order.keys():
-            scan = sorted(keys, key=order.__getitem__)
-        else:
-            scan = [key for key, value in ci_map.items() if value]
-        patience = fc.reclaim_patience
-        last_request = fc._last_request
-        marker_owner = fc.marker_owner
-        stats = fc._stats_dict
-        drifts = []
-        for key in scan:
-            ci = ci_map[key]
-            if ci <= 0 or key in marker_owner:
-                continue
-            if cycle - last_request.get(key, -(10**9)) <= patience:
-                continue
-            widx = self._watch[key]
-            lane = self._lane_of[widx]
-            pos = self._ring_pos[widx]
-            shift = pos * 2
-            if (self._rbub[lane] >> pos) & 1 and (
-                (self._rk[lane] >> shift) & 3
-            ) == _BLACK_CODE:
-                self._rk[lane] -= _BLACK_CODE << shift
-                self._rdirty[lane] = True
-                ci_map[key] = ci - 1
-                stats["reclaims"] += 1
-            elif cycle - last_request.get(key, -(10**9)) > 4 * patience + 2:
-                node, ring_id = key
-                ring = fc.rings[ring_id]
-                pos_n = fc.ring_position[(ring_id, node)]
-                prev_node = ring.hops[(pos_n - 1) % len(ring)].node
-                drifts.append((key, (prev_node, ring_id)))
-        for src_key, dst_key in drifts:
-            if ci_map[src_key] > 0:
-                ci_map[src_key] -= 1
-                ci_map[dst_key] = ci_map.get(dst_key, 0) + 1
-                stats["ci_drifts"] += 1
-
-    def _pre_cycle_flit(self, cycle: int) -> None:
-        fc = self._fc
-        black = self._black
-        gray = self._gray
-        if fc.reclaim_banked_ci:
-            patience = fc.reclaim_patience
-            last_request = fc._last_request
-            marker_owner = fc.marker_owner
-            watch = self._watch
-            for key, ci in fc.ci.items():
-                if ci <= 0 or key in marker_owner:
-                    continue
-                if cycle - last_request.get(key, -(10**9)) <= patience:
-                    continue
-                widx = watch[key]
-                if black[widx] > 0:
-                    black[widx] -= 1
-                    fc.ci[key] = ci - 1
-                    fc.stats["reclaims"] += 1
-        cap = self._cap
-        buf = self._buf
-        for ring in self._fl_rings:
-            k = len(ring)
-            for j in range(k):
-                down = ring[j]
-                if black[down] == 0:
-                    continue
-                up = ring[j - 1] if j else ring[k - 1]
-                up_whites = cap[up] - len(buf[up]) - black[up] - gray[up]
-                if up_whites >= 1:
-                    black[down] -= 1
-                    black[up] += 1
-                    fc.stats["displacements"] += 1
-                    break  # one transfer per ring per cycle (wbt handshake)
-                if gray[up] >= 1 and gray[down] == 0:
-                    gray[up] -= 1
-                    black[up] += 1
-                    black[down] -= 1
-                    gray[down] += 1
-                    fc.stats["displacements"] += 1
-                    break
-
     # -- VA -------------------------------------------------------------------
 
     def _va_phase(self, cycle: int) -> None:
@@ -831,14 +570,10 @@ class SoAEngine(Simulator):
         cap = self._cap
         atomic = self._atomic
         has_adaptive = self._has_adaptive
-        esc_single = self._esc_static is not None
-        wbfc = self._fc_kind == "wbfc"
-        allow = self._allow_wbfc if atomic else self._allow_flit
+        esc_single = self._esc_single
+        feeder = self._feeder
+        allow_escape = self._fc.allow_escape
         grant = self._grant
-        if wbfc:
-            lane_of = self._lane_of
-            ring_pos = self._ring_pos
-            rk = self._rk
         # One sorted pass groups the waiting set by node; ascending idx
         # within a node is ascending (port, vc), the object engine's scan
         # order.  Grants never touch another node's waiting VCs, so the
@@ -887,7 +622,7 @@ class SoAEngine(Simulator):
                     self._try_escape(node, i, packet, escape, dbase, in_ring, cycle)
                     continue
                 # Single static escape VC (WBFC / flit-level): inline the
-                # admission test and the in-ring WHITE fast path.
+                # admission test, then ask the scheme.
                 didx = dbase
                 if alloc[didx] is not None:
                     continue
@@ -896,20 +631,13 @@ class SoAEngine(Simulator):
                         continue
                 elif cred[didx] < 1:
                     continue
-                if in_ring:
-                    # In-ring transit: flit-level always admits, and a
-                    # WHITE worm-bubble admits unconditionally (Equation
-                    # 4) — the common case, decided without the scheme
-                    # call.  ``_allow_wbfc`` re-derives the same answer
-                    # for the colored targets.
-                    if not wbfc or not (
-                        (rk[lane_of[didx]] >> (ring_pos[didx] * 2)) & 3
-                    ):
-                        grant(node, i, packet, escape, 0, didx, True, True, cycle)
-                    elif allow(packet, node, didx, True, cycle):
-                        grant(node, i, packet, escape, 0, didx, True, True, cycle)
-                elif allow(packet, node, didx, False, cycle):
-                    grant(node, i, packet, escape, 0, didx, True, False, cycle)
+                ovc = feeder[didx]
+                if not atomic:
+                    # Hand-over: flit-level counts white slots through
+                    # the upstream credit view (see the module notes).
+                    ovc.credits = cred[didx]
+                if allow_escape(packet, node, escape, ovc, in_ring, cycle):
+                    grant(node, i, packet, escape, 0, didx, True, in_ring, cycle)
 
     def _try_adaptive(
         self, node: int, i: int, packet, adaptive_ports, cycle: int
@@ -960,12 +688,11 @@ class SoAEngine(Simulator):
 
         ``escape_vc_choices`` is called exactly once per attempt — its
         side effects (Dateline's balance toggle) fire whether or not any
-        choice is granted, just like the object router.
+        choice is granted, just like the object router.  These schemes
+        are atomic-only, so no credit hand-over is owed.
         """
         fc = self._fc
-        choices = self._esc_static
-        if choices is None:
-            choices = fc.escape_vc_choices(packet, node, escape, in_ring)
+        choices = fc.escape_vc_choices(packet, node, escape, in_ring)
         alloc = self._alloc
         cred = self._cred
         cap = self._cap
@@ -979,105 +706,12 @@ class SoAEngine(Simulator):
                     continue
             elif cred[didx] < 1:
                 continue
-            if self._fc_kind == "dateline":
-                # Dateline never vetoes an admitted escape VC.
-                pass
-            elif not (
-                self._allow_wbfc if atomic else self._allow_flit
-            )(packet, node, didx, in_ring, cycle):
+            if not fc.allow_escape(
+                packet, node, escape, self._feeder[didx], in_ring, cycle
+            ):
                 continue
             self._grant(node, i, packet, escape, vc, didx, True, in_ring, cycle)
             return True
-        return False
-
-    def _allow_wbfc(
-        self, packet, node: int, didx: int, in_ring: bool, cycle: int
-    ) -> bool:
-        rid = self._ring[didx]
-        if rid is None:
-            return True
-        fc = self._fc
-        lane = self._lane_of[didx]
-        shift = self._ring_pos[didx] * 2
-        code = (self._rk[lane] >> shift) & 3
-        if in_ring:
-            if code == 0:
-                # WHITE target: Equation (4) admits unconditionally.
-                return True
-            ctx = packet.current_ctx
-            if ctx is None:
-                return wbfc_transit_allows(code, False, 0, False, 0, 0, 0)
-            return wbfc_transit_allows(
-                code,
-                True,
-                ctx.ch,
-                ctx.gray_entitled,
-                packet.length,
-                self._cap[didx],
-                ctx.flits_entered,
-            )
-        key = (node, rid)
-        fc._last_request[key] = cycle
-        mp = fc._mp_by_length[packet.length]
-        if mp == 1:
-            verdict = wbfc_injection_verdict(
-                code, 1, 0, False, fc.ml[rid], fc.black_reentry
-            )
-        else:
-            owner = fc.marker_owner.get(key)
-            verdict = wbfc_injection_verdict(
-                code,
-                mp,
-                fc.ci[key],
-                owner is not None and owner != packet.pid,
-                fc.ml[rid],
-                fc.black_reentry,
-            )
-        if verdict == ALLOW:
-            return True
-        if verdict == MARK:
-            # Reserve: mark the white WB black, claim the counter.
-            self._rk[lane] += _BLACK_CODE << shift
-            self._rdirty[lane] = True
-            fc.ci[key] += 1
-            fc.marker_owner[key] = packet.pid
-            fc._owned_keys[packet.pid] = key
-            fc._stats_dict["marks"] += 1
-        return False
-
-    def _allow_flit(
-        self, packet, node: int, didx: int, in_ring: bool, cycle: int
-    ) -> bool:
-        rid = self._ring[didx]
-        if rid is None or in_ring:
-            return True
-        fc = self._fc
-        key = (node, rid)
-        fc._last_request[key] = cycle
-        mp = packet.length
-        whites = self._cred[didx] - self._black[didx] - self._gray[didx]
-        if mp == 1:
-            verdict = flit_injection_verdict(
-                whites, self._gray[didx], 1, 0, False, fc.ml[rid]
-            )
-        else:
-            owner = fc.marker_owner.get(key)
-            verdict = flit_injection_verdict(
-                whites,
-                self._gray[didx],
-                mp,
-                fc.ci[key],
-                owner is not None and owner != packet.pid,
-                fc.ml[rid],
-            )
-        if verdict == ALLOW:
-            return True
-        if verdict == MARK:
-            self._black[didx] += 1
-            fc.ci[key] += 1
-            fc.marker_owner[key] = packet.pid
-            fc._owned_keys[packet.pid] = key
-            fc.stats["marks"] += 1
         return False
 
     def _grant(
@@ -1096,7 +730,7 @@ class SoAEngine(Simulator):
         ctx = packet.current_ctx
         if out_port == 0:
             if ctx is not None:
-                self._leave_ring(packet, node)
+                fc.on_leave_ring(packet, node, cycle)
         else:
             rid = self._ring[didx]
             staying = (
@@ -1106,29 +740,19 @@ class SoAEngine(Simulator):
                 and rid == ctx.ring_id
             )
             if ctx is not None and not staying:
-                self._leave_ring(packet, node)
+                fc.on_leave_ring(packet, node, cycle)
             self._alloc[didx] = packet
+            target = self._ivcs[didx]
             if self._atomic:
-                self._own[didx] = packet
-                lane = self._lane_of[didx]
-                if lane is not None and not self._buf[didx]:
-                    self._rocc[lane] += 1
-                    self._rbub[lane] ^= 1 << self._ring_pos[didx]
-                    self._rdirty[lane] = True
+                # ``InputVC.owner``'s setter, stated on the arrays: the
+                # admitted buffer is empty and unowned, so gaining an
+                # owner is what ends a ring buffer's worm-bubble status.
+                target._owner = packet
+                if rid is not None:
+                    fc.on_bubble_change(target, 1)
             if is_escape_hop and rid is not None:
-                kind = self._fc_kind
-                if kind == "wbfc":
-                    self._acquire_wbfc(packet, didx, in_ring, node)
-                elif kind == "flit":
-                    self._acquire_flit(packet, didx, in_ring, node)
-                else:
-                    # Dateline's hook reads only static buffer attributes
-                    # and live contexts; call it on the real object.
-                    fc.on_acquire(packet, self._ivcs[didx], in_ring, node, cycle)
-        if self._fc_marks:
-            key = fc._owned_keys.pop(packet.pid, None)
-            if key is not None and fc.marker_owner.get(key) == packet.pid:
-                del fc.marker_owner[key]
+                fc.on_acquire(packet, target, in_ring, node, cycle)
+        fc.on_grant(packet, node, cycle)
         wait = cycle - self._vafr[i]
         port = (i // self._V) % self._P
         if wait > 0 and (port == 0 or (out_port != 0 and out_port != port)):
@@ -1141,91 +765,6 @@ class SoAEngine(Simulator):
         self._st[i] = 3
         self._sa.add(i)
         self._acc[6] += 1
-
-    def _acquire_wbfc(self, packet, didx: int, in_ring: bool, node: int) -> None:
-        fc = self._fc
-        rid = self._ring[didx]
-        lane = self._lane_of[didx]
-        shift = self._ring_pos[didx] * 2
-        code = (self._rk[lane] >> shift) & 3
-        stats = fc._stats_dict
-        if in_ring:
-            ctx = packet.current_ctx
-            if ctx is None or ctx.ring_id != rid:
-                raise RuntimeError(
-                    f"packet {packet.pid} made an in-ring move without a "
-                    f"matching ring context at {self._ivcs[didx].label()}"
-                )
-            if code == 2:  # BLACK
-                if ctx.ch > 0:
-                    ctx.ch -= 1
-                    stats["unmarks"] += 1
-                else:
-                    ctx.color_debt.append(WBColor.BLACK)
-            elif code == 1:  # GRAY
-                if packet.length <= self._cap[didx] or (
-                    ctx.flits_entered >= packet.length
-                ):
-                    ctx.color_debt.append(WBColor.GRAY)
-                else:
-                    if ctx.holds_gray:
-                        raise RuntimeError("a ring cannot hold two gray tokens")
-                    ctx.holds_gray = True
-                    stats["transit_gray_grabs"] += 1
-        else:
-            key = (node, rid)
-            ctx = RingContext(ring_id=rid)
-            ctx.ch = fc.ci[key]
-            fc.ci[key] = 0
-            if code == 2:  # BLACK
-                if not (fc.black_reentry and ctx.ch >= 1):
-                    raise RuntimeError("injection granted into a black worm-bubble")
-                ctx.ch -= 1
-                stats["unmarks"] += 1
-                stats["black_reentries"] += 1
-            if code == 1:  # GRAY
-                ctx.holds_gray = True
-                ctx.gray_entitled = True
-                stats["gray_grabs"] += 1
-            packet.current_ctx = ctx
-        ctx.occupied += 1
-        self._octx[didx] = ctx
-        if code:
-            self._rk[lane] -= code << shift  # parked white while occupied
-        self._rdirty[lane] = True
-
-    def _acquire_flit(self, packet, didx: int, in_ring: bool, node: int) -> None:
-        if in_ring:
-            return
-        fc = self._fc
-        rid = self._ring[didx]
-        key = (node, rid)
-        ctx = RingContext(ring_id=rid)
-        ctx.ch = fc.ci[key]
-        fc.ci[key] = 0
-        packet.current_ctx = ctx
-        key_ctx = (packet.pid, rid)
-        old = fc._packet_ctx.get(key_ctx)
-        if old is not None and not old.is_dead:
-            raise RuntimeError(
-                f"packet {packet.pid} re-entered ring {rid} while "
-                "its previous context is still draining"
-            )
-        fc._packet_ctx[key_ctx] = ctx
-
-    def _leave_ring(self, packet, node: int) -> None:
-        # WBFC/flit-level fold the leftover CH into the local injection
-        # channel; Dateline contexts never carry CH, so the fold is inert
-        # and this one body serves all three schemes.
-        fc = self._fc
-        ctx = packet.current_ctx
-        if self._fc_marks:
-            key = (node, ctx.ring_id)
-            if ctx.ch:
-                fc.ci[key] = fc.ci.get(key, 0) + ctx.ch
-                ctx.ch = 0
-        ctx.closed = True
-        packet.current_ctx = None
 
     # -- SA -------------------------------------------------------------------
 
@@ -1332,7 +871,7 @@ class SoAEngine(Simulator):
             )
         acc[1] += 1
         if not atomic and not local:
-            self._slot_freed(idx, flit)
+            self._fc.on_slot_freed(self._ivcs[idx], flit)
         if flit.is_tail:
             if not atomic and out_port != 0:
                 # Non-atomic: downstream accepts the next packet as soon as
@@ -1342,73 +881,28 @@ class SoAEngine(Simulator):
                 self.network.backlog_packets -= 1
                 self._release(idx)
             elif atomic:
-                if self._fc_kind == "wbfc":
-                    self._vacate_wbfc(idx)
-                    lane = self._lane_of[idx]
-                    if lane is not None:
-                        self._rocc[lane] -= 1
-                        self._rbub[lane] ^= 1 << self._ring_pos[idx]
-                        self._rdirty[lane] = True
+                # ``on_vacate`` then the bubble flip of the owner's
+                # departure, in the order ``InputVC.release`` fires them.
+                fc = self._fc
+                ivc = self._ivcs[idx]
+                fc.on_vacate(ivc)
                 self._release(idx)
+                if self._ring[idx] is not None:
+                    fc.on_bubble_change(ivc, -1)
             else:
                 self._advance_front(idx, cycle)
-
-    def _slot_freed(self, idx: int, flit) -> None:
-        rid = self._ring[idx]
-        if rid is None:
-            return
-        fc = self._fc
-        key_ctx = (flit.packet.pid, rid)
-        ctx = fc._packet_ctx.get(key_ctx)
-        if ctx is None:
-            return
-        ctx.occupied -= 1
-        if ctx.color_debt:
-            color = ctx.color_debt.pop()
-            if color is WBColor.BLACK:
-                self._black[idx] += 1
-            else:
-                self._gray[idx] += 1
-        if ctx.is_dead:
-            # Flush whatever the worm still carries onto its final buffer.
-            for color in ctx.color_debt:
-                if color is WBColor.BLACK:
-                    self._black[idx] += 1
-                else:
-                    self._gray[idx] += 1
-            ctx.color_debt.clear()
-            if ctx.holds_gray:
-                self._gray[idx] += 1
-                ctx.holds_gray = False
-            fc._packet_ctx.pop(key_ctx, None)
-
-    def _vacate_wbfc(self, idx: int) -> None:
-        ctx = self._octx[idx]
-        if ctx is None:
-            return
-        ctx.occupied -= 1
-        settled = ctx.settle_vacated_color()
-        lane = self._lane_of[idx]
-        if lane is not None:
-            shift = self._ring_pos[idx] * 2
-            current = (self._rk[lane] >> shift) & 3
-            if settled.code != current:
-                self._rk[lane] += (settled.code - current) << shift
-            self._rdirty[lane] = True
-        self._octx[idx] = None
 
     def _release(self, idx: int) -> None:
         self._rc.discard(idx)
         self._va.discard(idx)
         self._sa.discard(idx)
         self._st[idx] = 0
-        self._own[idx] = None
+        self._ivcs[idx]._owner = None
         self._rcand[idx] = ()
         self._outp[idx] = None
         self._outv[idx] = None
         self._odidx[idx] = -1
         self._vafr[idx] = None
-        self._octx[idx] = None
 
     def _advance_front(self, idx: int, cycle: int) -> None:
         buf = self._buf[idx]
@@ -1421,7 +915,7 @@ class SoAEngine(Simulator):
                 f"packet boundary corrupted at {self._ivcs[idx].label()}: "
                 f"{front!r} follows a tail"
             )
-        self._own[idx] = front.packet
+        self._ivcs[idx]._owner = front.packet
         self._ready[idx] = cycle + self._routing_delay
         self._sa.discard(idx)
         self._st[idx] = 1
@@ -1437,20 +931,17 @@ class SoAEngine(Simulator):
     def _observe(self, cycle: int) -> None:
         wd = self.watchdog
         if cycle >= wd._next_starvation_scan:
-            # The starvation scan reads the NIC staging slots' owner/state
-            # directly; sync just those two fields before delegating.
+            # The starvation scan reads the NIC staging slots' (live)
+            # owner and pipeline state directly; sync the state first.
             PV = self._PV
             V = self._V
-            own = self._own
             st = self._st
             ivcs = self._ivcs
             for node in range(self._N):
                 base = node * PV
                 for vc in range(V):
                     idx = base + vc
-                    ivc = ivcs[idx]
-                    ivc._owner = own[idx]
-                    ivc._state = _ST_ENUM[st[idx]]
+                    ivcs[idx]._state = _ST_ENUM[st[idx]]
         try:
             wd.observe(cycle)
         except (DeadlockError, StarvationError):

@@ -96,6 +96,14 @@ class TestCorruptionDetection:
         with pytest.raises(SanitizerError, match="lane occupied count"):
             sim.run(1)
 
+    def test_lane_bubble_mask_drift_caught(self):
+        net, sim = _sanitized_sim(interval=1)
+        fc = net.flow_control
+        lane = next(iter(fc._lanes.values()))
+        lane.bubble_mask ^= 1
+        with pytest.raises(SanitizerError, match="lane bubble mask"):
+            sim.run(1)
+
 
 class TestHierarchicalRingRecount:
     """Deep recount must hold on the hierarchical-ring topology, whose

@@ -19,6 +19,20 @@ def test_initial_state_is_idle_white_worm_bubble():
     assert vc.free_slots == 3
 
 
+def test_color_off_lane_is_white_and_rejects_tokens():
+    """Colors live on the ring lane; a buffer on no lane carries no token:
+    it reads WHITE, accepts a (no-op) WHITE write, and refuses anything
+    else instead of dropping it silently."""
+    vc = make_vc()
+    assert vc.color_lane is None
+    vc.color = WBColor.WHITE
+    assert vc.color is WBColor.WHITE
+    for token in (WBColor.GRAY, WBColor.BLACK):
+        with pytest.raises(ValueError, match="no token lane"):
+            vc.color = token
+    assert vc.color is WBColor.WHITE
+
+
 def test_push_pop_fifo():
     vc = make_vc()
     p = Packet(pid=1, src=0, dst=1, length=3)

@@ -27,6 +27,25 @@ from repro.sim.engine import BackendUnsupported
 from repro.sim.kernels import displacement_pass, idle_advance
 from repro.sim.spec import ScenarioSpec, prepare
 
+
+def test_soa_restates_no_flow_control_rule():
+    """``soa`` reaches the rules only through the scheme's hooks: none of
+    the verdict/displacement kernels or token types is even in scope
+    there, so a rule cannot be quietly re-transcribed."""
+    import repro.sim.soa as soa
+
+    for name in (
+        "wbfc_transit_allows",
+        "wbfc_injection_verdict",
+        "flit_injection_verdict",
+        "displacement_pass",
+        "idle_advance",
+        "WBColor",
+        "RingContext",
+    ):
+        assert not hasattr(soa, name), name
+
+
 # -- snapshot normalization ----------------------------------------------------
 
 _PRIM = (str, int, float, bool, bytes, type(None))
@@ -141,6 +160,51 @@ class TestParity:
         assert obj["state"] == got["state"]
 
 
+class TestLiveState:
+    """Token state is shared-live under ``soa``: colors, CI, stats and the
+    lanes are exact between ticks with no ``snapshot()``/``_flush()``."""
+
+    @pytest.mark.parametrize(
+        "rate,cycles", [(0.25, 1234), (0.0005, 20_000)], ids=["busy", "sparse"]
+    )
+    def test_tokens_readable_mid_run_without_flush(self, rate, cycles):
+        from repro.telemetry.inspect import ring_color_census
+
+        nets = {}
+        for backend in ("object", "soa"):
+            prepared = prepare(
+                ScenarioSpec(
+                    design="WBFC-1VC",
+                    topology="torus:4x4",
+                    injection_rate=rate,
+                    seed=5,
+                    backend=backend,
+                )
+            )
+            assert prepared.backend == backend, prepared.backend_unsupported
+            prepared.simulator.run(cycles)
+            nets[backend] = prepared.network
+        obj, soa = (nets[b].flow_control for b in ("object", "soa"))
+        assert obj.ring_buffers.keys() == soa.ring_buffers.keys()
+        for ring_id, ring in obj.ring_buffers.items():
+            assert [b.color for b in ring] == [
+                b.color for b in soa.ring_buffers[ring_id]
+            ]
+            assert ring_color_census(nets["object"], ring_id) == (
+                ring_color_census(nets["soa"], ring_id)
+            )
+        assert dict(obj.ci) == dict(soa.ci)
+        assert obj.stats == soa.stats  # the property settles every lane
+        for ring_id, lane in obj._lanes.items():
+            twin = soa._lanes[ring_id]
+            assert lane.pending == twin.pending == 0
+            assert (lane.key, lane.bubble_mask, lane.occupied) == (
+                twin.key,
+                twin.bubble_mask,
+                twin.occupied,
+            )
+
+
 class TestHandoff:
     """Snapshot under one backend, resume under the other, match a
     never-paused object-engine reference at the same cycle."""
@@ -219,6 +283,26 @@ class TestHandoff:
         assert normalize(b.simulator.snapshot().state) == normalize(
             ref.simulator.snapshot().state
         )
+
+    @pytest.mark.parametrize("src,dst", [("object", "soa"), ("soa", "object")])
+    def test_restore_drops_the_targets_owed_rotation(
+        self, src, dst, reference_state
+    ):
+        """The restore target has idled ahead, so its lanes owe thousands
+        of deferred rotations; they belong to the state being overwritten
+        and must never replay onto the restored colors."""
+        a = self._prepared(src, skip_idle=True)
+        a.simulator.run(1000)
+        snap = a.simulator.snapshot()
+        b = self._prepared(dst, skip_idle=True)
+        b.workload.stop()  # idle twin; restore rewinds the workload too
+        b.simulator.run(5000)
+        lanes = b.network.flow_control._lane_list
+        assert lanes and all(lane.pending == 5000 for lane in lanes)
+        b.simulator.restore(snap)
+        assert not any(lane.pending for lane in lanes)
+        b.simulator.run(1000)
+        assert normalize(b.simulator.snapshot().state) == reference_state
 
 
 class TestFallback:
@@ -441,7 +525,7 @@ class TestIdleAdvance:
         def stepped(key, n):
             moves = 0
             for _ in range(n):
-                _writes, key, disp, fwd = displacement_pass(k, key, full)
+                key, disp, fwd = displacement_pass(k, key, full)
                 assert fwd == 0  # an all-bubble ring has no blocked worm
                 moves += disp
             return key, moves
