@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..network.network import Network
     from .checkpoint import Snapshot
 
-__all__ = ["Workload", "Simulator", "BackendUnsupported"]
+__all__ = ["Workload", "Simulator", "BackendUnsupported", "BackendFallbackWarning"]
 
 
 class BackendUnsupported(RuntimeError):
@@ -59,6 +59,16 @@ class BackendUnsupported(RuntimeError):
         super().__init__(reason)
         self.reason = reason
         self.witness = witness
+
+
+class BackendFallbackWarning(RuntimeWarning):
+    """``prepare()`` ran the object engine in place of the requested backend.
+
+    The results are the same by the bit-identity contract, the speed is
+    not; the message names the requested backend and the
+    :class:`BackendUnsupported` witness.  Filter it with the standard
+    :mod:`warnings` machinery.
+    """
 
 
 class Workload(Protocol):

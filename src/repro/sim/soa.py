@@ -20,12 +20,28 @@ exclude the backend choice.
 ring topologies, DOR / ring / Duato minimal-adaptive routing, WBFC
 (atomic wormhole, any VC count), flit-level WBFC (non-atomic wormhole,
 single VC), or Dateline (atomic wormhole, two escape classes), open-loop
-synthetic traffic or the closed-loop coherence workload, no
-telemetry/probe subscribers, no sanitizer, no cycle
-listeners, the stock :class:`~repro.sim.deadlock.Watchdog`.
+synthetic traffic or the closed-loop coherence workload, a
+:class:`~repro.telemetry.session.TelemetrySession` of any feature set, no
+sanitizer, no probe subscriber or cycle listener outside that session, the
+stock :class:`~repro.sim.deadlock.Watchdog`.
 Anything else raises :class:`~repro.sim.engine.BackendUnsupported` with a
 machine-checkable witness, and ``prepare()`` falls back to the object
-engine (recorded in ``PreparedScenario.backend_unsupported``).
+engine (recorded in ``PreparedScenario.backend_unsupported``, announced
+by a :class:`~repro.sim.engine.BackendFallbackWarning`).
+
+**Probe bus.**  Every ``PROBE_EVENTS`` event fires with the object
+engine's arguments, at its cycle and in its order: the flow-control and
+NIC-offer events from the live hooks, the seven router-pipeline events
+from ``if probes.active:`` sites here that mirror ``Router``,
+``Network._deliver`` and ``NIC.load``.  An ``InputVC`` passed to a
+subscriber carries exactly: its identity, ``node``/``port``/``vc``/
+``ring_id``/``label()``, ``flits``, ``owner``, ``color``,
+``occupant_ctx``, and — from VA grant until release — ``out_port``/
+``out_vc``.  It does **not** carry ``state``, ``stage_ready``,
+``route_candidates``, ``va_first_request`` or ``feeder.credits``; those
+are arrayed and exact only after ``_flush()``, which is why callbacks
+outside the session (and the sanitizer, which reads them every cycle)
+are refused.
 
 **Shared-live vs. arrayed state.**  Everything a flow-control scheme owns
 is shared-live, never mirrored: the ring token lanes (worm-bubble colors,
@@ -69,6 +85,7 @@ from typing import TYPE_CHECKING
 from ..network.buffers import VCState
 from ..network.switching import Switching
 from ..registry import ENGINE_BACKENDS
+from ..telemetry.probes import PROBE_EVENTS
 from .config import NEVER
 from .deadlock import DeadlockError, StarvationError, Watchdog
 from .engine import BackendUnsupported, Simulator
@@ -133,14 +150,23 @@ def _check_supported(sim: Simulator) -> None:
     wl = sim.workload
     if wl is not None and type(wl) not in (SyntheticTraffic, CoherenceWorkload):
         reject("unsupported workload", "workload", type(wl).__name__)
-    if net.probes.active:
-        reject("probe subscribers attached", "telemetry", "probes")
-    if sim.telemetry is not None:
-        reject("telemetry session attached", "telemetry", "session")
     if sim.sanitizer is not None:
         reject("sanitizer reads live object state", "sanitizer", "on")
-    if sim.cycle_listeners:
-        reject("cycle listeners attached", "cycle_listeners", len(sim.cycle_listeners))
+    # The attached session's sinks and sampler read only what is exact
+    # under this engine (see the module notes); any other callback may not.
+    session = sim.telemetry
+    owned = session.owns if session is not None else (lambda fn: False)
+    for event in PROBE_EVENTS:
+        if event == "packet_ejected":  # carries no buffer; always dispatched
+            continue
+        if not all(owned(fn) for fn in net.probes.subscribers(event)):
+            reject(
+                "probe subscriber outside the telemetry session",
+                "telemetry", "foreign_subscriber", event,
+            )
+    foreign = sum(not owned(fn) for fn in sim.cycle_listeners)
+    if foreign:
+        reject("cycle listeners outside the session", "cycle_listeners", foreign)
     if type(sim.watchdog) is not Watchdog:
         reject("custom watchdog", "watchdog", type(sim.watchdog).__name__)
 
@@ -158,6 +184,11 @@ class SoAEngine(Simulator):
         )
         self.inner = simulator
         self.cycle = simulator.cycle
+        # One listener list, shared with the object simulator a session may
+        # already be (or later get) attached to: the sampler must be seen
+        # by this engine's ``_tick`` and by the inherited skip scan.
+        self.cycle_listeners = simulator.cycle_listeners
+        self.telemetry = simulator.telemetry
 
         net = self.network
         cfg = net.config
@@ -174,6 +205,7 @@ class SoAEngine(Simulator):
         self._has_adaptive = cfg.num_adaptive_vcs > 0
         self._fc = net.flow_control
         self._routing = net.routing
+        self._probes = net.probes
 
         #: With one escape VC the scheme's choice can only be the static
         #: ``(0,)`` (WBFC, flit-level); Dateline has two and picks
@@ -443,6 +475,10 @@ class SoAEngine(Simulator):
         acc[2] += 1
         packet = flit.packet
         ivc = self._ivcs[idx]
+        probes = self._probes
+        if probes.active:
+            probes.buffer_occupancy(ivc, 1)
+            probes.flit_delivered(ivc, flit, cycle)
         if self._atomic:
             # ``WormBubbleFlowControl.on_slot_filled``, inline (see the
             # module notes); no other atomic scheme sets ``occupant_ctx``.
@@ -478,6 +514,7 @@ class SoAEngine(Simulator):
         if not pending:
             return
         nics = net.nics
+        probes = self._probes
         PV = self._PV
         V = self._V
         st = self._st
@@ -497,12 +534,17 @@ class SoAEngine(Simulator):
                 continue
             packet = nic.queue.popleft()
             buf = self._buf[idx]
+            slot = self._ivcs[idx]
             for flit in packet.make_flits():
                 buf.append(flit)
-            self._ivcs[idx]._owner = packet
+                if probes.active:
+                    probes.buffer_occupancy(slot, 1)
+            slot._owner = packet
             self._ready[idx] = cycle + self._routing_delay
             st[idx] = 1
             self._rc.add(idx)
+            if probes.active:
+                probes.packet_staged(node, packet, cycle)
             if not nic.queue:
                 net.note_nic_pending(node, False)
 
@@ -759,12 +801,22 @@ class SoAEngine(Simulator):
             packet.injection_delay += wait
         self._outp[i] = out_port
         self._outv[i] = out_vc
+        # Also onto the live object: ``flit_sent`` subscribers read the
+        # crossing off ``ivc``, and a sink may attach after this grant.
+        ivc = self._ivcs[i]
+        ivc.out_port = out_port
+        ivc.out_vc = out_vc
         self._odidx[i] = didx
         self._ready[i] = cycle + 1
         self._va.discard(i)
         self._st[i] = 3
         self._sa.add(i)
         self._acc[6] += 1
+        probes = self._probes
+        if probes.active:
+            probes.va_grant(
+                node, ivc, packet, out_port, out_vc, is_escape_hop, wait, cycle
+            )
 
     # -- SA -------------------------------------------------------------------
 
@@ -782,6 +834,8 @@ class SoAEngine(Simulator):
         sa_in = self._sa_in
         sa_out = self._sa_out
         send = self._send
+        probes = self._probes
+        ivcs = self._ivcs
         # Same grouping trick as VA: sends only mutate their own node's
         # buffers this cycle (arrivals land on future cycles), so the
         # snapshot equals the object's per-router active set.
@@ -804,6 +858,8 @@ class SoAEngine(Simulator):
                         sa_in[i // V] += 1
                         sa_out[base_p + out_port] += 1
                         send(i, cycle)
+                    elif probes.active:
+                        probes.credit_stall(node, ivcs[i], cycle)
                 continue
             if V == 1:
                 # One VC per input port: each input arbiter has exactly one
@@ -816,6 +872,8 @@ class SoAEngine(Simulator):
                         continue
                     out_port = outp[i]
                     if out_port != 0 and cred[odidx[i]] <= 0:
+                        if probes.active:
+                            probes.credit_stall(node, ivcs[i], cycle)
                         continue
                     sa_in[i] += 1
                     requests.setdefault(out_port, []).append(i)
@@ -826,6 +884,8 @@ class SoAEngine(Simulator):
                         continue
                     out_port = outp[i]
                     if out_port != 0 and cred[odidx[i]] <= 0:
+                        if probes.active:
+                            probes.credit_stall(node, ivcs[i], cycle)
                         continue
                     by_port.setdefault(i // V, []).append(i)
                 requests = {}
@@ -843,12 +903,17 @@ class SoAEngine(Simulator):
         acc = self._acc
         buf = self._buf[idx]
         flit = buf.popleft()
+        probes = self._probes
+        if probes.active:
+            probes.buffer_occupancy(self._ivcs[idx], -1)
         local = idx % self._PV < self._V
         if not local:
             acc[0] -= 1
         elif flit.is_head:
             flit.packet.injected_cycle = cycle
             self.network.flits_in_network += flit.packet.length
+            if probes.active:
+                probes.packet_injected(idx // self._PV, flit.packet, cycle)
         acc[3] += 1
         acc[4] += 1
         out_port = self._outp[idx]
@@ -864,6 +929,8 @@ class SoAEngine(Simulator):
             self._cred[didx] -= 1
             self._arr[when].append((didx, flit))
             acc[5] += 1
+        if probes.active:
+            probes.flit_sent(idx // self._PV, self._ivcs[idx], flit, cycle)
         if not local:
             # This buffer has an upstream credit mirror; return the slot.
             self._crq[cycle + self._credit_delay].append(

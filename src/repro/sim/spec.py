@@ -101,7 +101,8 @@ class ScenarioSpec:
     #: bit-identical by contract, so the result store dedups across them.
     #: The ``REPRO_BACKEND`` environment variable overrides this field at
     #: ``prepare`` time; a backend that rejects the configuration falls
-    #: back to ``"object"`` (see ``PreparedScenario.backend_unsupported``).
+    #: back to ``"object"`` with a ``BackendFallbackWarning`` (see
+    #: ``PreparedScenario.backend_unsupported``).
     backend: str = "object"
 
     def __post_init__(self) -> None:
@@ -232,9 +233,10 @@ def prepare(spec: ScenarioSpec, *, watchdog: Any = None) -> PreparedScenario:
     # field — the same precedence as REPRO_SANITIZE — so sweeps can be
     # re-run under another engine without touching their specs.
     import os
+    import warnings
 
     from ..registry import ENGINE_BACKENDS
-    from ..sim.engine import BackendUnsupported
+    from ..sim.engine import BackendFallbackWarning, BackendUnsupported
 
     backend = os.environ.get("REPRO_BACKEND") or spec.backend
     engine = simulator
@@ -244,7 +246,14 @@ def prepare(spec: ScenarioSpec, *, watchdog: Any = None) -> PreparedScenario:
             engine = ENGINE_BACKENDS.create(backend, simulator)
         except BackendUnsupported as exc:
             # Bit-identical contract: the object engine computes the same
-            # result, so fall back silently and record the witness.
+            # result, so fall back, record the witness, and say so once
+            # per call site (the default ``warnings`` filter).
+            warnings.warn(
+                f"backend {backend!r} cannot drive this scenario, running "
+                f"'object' instead: {exc.reason} {exc.witness!r}",
+                BackendFallbackWarning,
+                stacklevel=2,
+            )
             engine, backend, unsupported = simulator, "object", exc
     else:
         backend = "object"

@@ -6,6 +6,13 @@ and flow-control schemes dispatch *probe events* into it; measurement code
 (:mod:`repro.metrics`), samplers and exporters subscribe to the events
 they need instead of reaching into engine internals.
 
+The event stream is part of the engine-backend contract: every backend
+dispatches the same events with the same arguments, at the same cycle and
+in the same order (the array engine mirrors the router, delivery and NIC
+sites below; the flow-control sites run live under both).  What an
+``InputVC`` argument carries exactly under every backend is listed in
+:mod:`repro.sim.soa`'s module notes.
+
 Zero-cost contract
 ------------------
 Detailed (per-flit / per-token) probe sites are guarded by

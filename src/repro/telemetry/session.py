@@ -163,6 +163,15 @@ class TelemetrySession:
         simulator.telemetry = self
         return self
 
+    def owns(self, callback) -> bool:
+        """True for this session's own sink methods and its sampler (what
+        an engine backend may trust to read only probe-exact state)."""
+        owner = getattr(callback, "__self__", callback)
+        return owner is not None and any(
+            owner is part
+            for part in (self.counters, self.histograms, self.trace, self.sampler)
+        )
+
     def detach(self) -> None:
         """Unsubscribe all sinks; the session's collected data stays valid."""
         for sink in (self.counters, self.histograms, self.trace):

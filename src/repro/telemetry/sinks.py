@@ -24,31 +24,33 @@ __all__ = ["CounterSink", "HistogramSink", "TimeSeriesSampler"]
 class CounterSink(ProbeSink):
     """Per-router, per-link, per-VC and flow-control event counters.
 
-    Everything is a plain ``dict[str, dict[str, int]]`` keyed by stable
-    string labels (``"7"`` for node 7, ``"n7>p2"`` for node 7's output
-    port 2, ``ivc.label()`` for a VC), merged across workers by addition.
+    Rendered, everything is a plain ``dict[str, dict[str, int]]`` keyed by
+    stable string labels (``"7"`` for node 7, ``"n7>p2"`` for node 7's
+    output port 2, ``ivc.label()`` for a VC), merged across workers by
+    addition.  The per-flit events tally on the hashable thing itself —
+    ``(node, event)``, ``(node, out_port)``, the ``InputVC`` — and the
+    labels are built once per key when read (:meth:`as_dict` and the
+    ``router`` / ``link`` / ``vc_writes`` / ``vc_peak`` views), not once
+    per event.
     """
 
     def __init__(self) -> None:
-        #: node label -> event name -> count
-        self.router: dict[str, dict[str, int]] = {}
-        #: "n{node}>p{port}" -> flit traversals entering that link
-        self.link: dict[str, int] = {}
-        #: ivc label -> buffer writes
-        self.vc_writes: dict[str, int] = {}
-        #: ivc label -> peak simultaneous occupancy observed
-        self.vc_peak: dict[str, int] = {}
+        #: (node, event name) -> count
+        self._router: dict[tuple[int, str], int] = {}
+        #: (node, out_port) -> flit traversals entering that link
+        self._link: dict[tuple[int, int], int] = {}
+        #: ivc -> [occupancy since attach, buffer writes, peak occupancy]
+        self._vc: dict[object, list[int]] = {}
         #: "{ring_id}:{reason}" -> worm-bubble color transitions
         self.wb: dict[str, int] = {}
         #: "{ring_id}:{reason}" -> CI counter updates (event counts)
         self.ci_events: dict[str, int] = {}
         #: scheme-specific event name -> count
         self.fc: dict[str, int] = {}
-        self._occ: dict[str, int] = {}
 
-    def _bump(self, node: int, event: str, by: int = 1) -> None:
-        per = self.router.setdefault(str(node), {})
-        per[event] = per.get(event, 0) + by
+    def _bump(self, node: int, event: str) -> None:
+        key = (node, event)
+        self._router[key] = self._router.get(key, 0) + 1
 
     # -- probe methods ------------------------------------------------------
 
@@ -70,8 +72,8 @@ class CounterSink(ProbeSink):
     def flit_sent(self, node, ivc, flit, cycle) -> None:
         self._bump(node, "flits_sent")
         if ivc.out_port != LOCAL_PORT:
-            key = f"n{node}>p{ivc.out_port}"
-            self.link[key] = self.link.get(key, 0) + 1
+            key = (node, ivc.out_port)
+            self._link[key] = self._link.get(key, 0) + 1
 
     def va_grant(self, node, ivc, packet, out_port, out_vc, escape, wait, cycle) -> None:
         self._bump(node, "va_grants")
@@ -82,13 +84,14 @@ class CounterSink(ProbeSink):
         self._bump(node, "credit_stalls")
 
     def buffer_occupancy(self, ivc, delta) -> None:
-        label = ivc.label()
-        occ = self._occ.get(label, 0) + delta
-        self._occ[label] = occ
+        tally = self._vc.get(ivc)
+        if tally is None:
+            tally = self._vc[ivc] = [0, 0, 0]
+        occ = tally[0] = tally[0] + delta
         if delta > 0:
-            self.vc_writes[label] = self.vc_writes.get(label, 0) + 1
-            if occ > self.vc_peak.get(label, 0):
-                self.vc_peak[label] = occ
+            tally[1] += 1
+            if occ > tally[2]:
+                tally[2] = occ
 
     def wb_color(self, ivc, old, new, reason) -> None:
         key = f"{ivc.ring_id}:{reason}"
@@ -103,13 +106,36 @@ class CounterSink(ProbeSink):
 
     # -- export ------------------------------------------------------------
 
+    @property
+    def router(self) -> dict[str, dict[str, int]]:
+        """node label -> event name -> count"""
+        out: dict[str, dict[str, int]] = {}
+        for (node, event), count in self._router.items():
+            out.setdefault(str(node), {})[event] = count
+        return out
+
+    @property
+    def link(self) -> dict[str, int]:
+        """"n{node}>p{port}" -> flit traversals entering that link"""
+        return {f"n{node}>p{port}": n for (node, port), n in self._link.items()}
+
+    @property
+    def vc_writes(self) -> dict[str, int]:
+        """ivc label -> buffer writes"""
+        return {ivc.label(): t[1] for ivc, t in self._vc.items() if t[1]}
+
+    @property
+    def vc_peak(self) -> dict[str, int]:
+        """ivc label -> peak simultaneous occupancy observed"""
+        return {ivc.label(): t[2] for ivc, t in self._vc.items() if t[2]}
+
     def as_dict(self) -> dict:
         """JSON-plain counter groups (see class docstring)."""
         return {
-            "router": {node: dict(per) for node, per in self.router.items()},
-            "link": dict(self.link),
-            "vc_writes": dict(self.vc_writes),
-            "vc_peak": dict(self.vc_peak),
+            "router": self.router,
+            "link": self.link,
+            "vc_writes": self.vc_writes,
+            "vc_peak": self.vc_peak,
             "wb": dict(self.wb),
             "ci": dict(self.ci_events),
             "fc": dict(self.fc),

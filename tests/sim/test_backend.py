@@ -7,9 +7,12 @@ closed-loop workloads — ``backend="soa"`` produces results byte-for-byte
 identical to the object engine: the same ``MeasurementSummary``, the same
 activity counters, the same flow-control statistics, and the same
 snapshot state tree — so a run may hand over between backends mid-flight
-in either direction.  Outside the matrix the factory raises
-:class:`BackendUnsupported` with a machine-checkable witness and
-``prepare()`` falls back to the object engine silently.
+in either direction.  The probe bus is part of that
+contract: a :class:`TelemetrySession` of any feature set runs on ``soa``
+and renders the same report, ordered trace included.  Outside the matrix
+the factory raises :class:`BackendUnsupported` with a machine-checkable
+witness and ``prepare()`` falls back to the object engine with a
+:class:`BackendFallbackWarning`.
 """
 
 import collections
@@ -23,9 +26,13 @@ from repro.network.switching import Switching
 from repro.registry import ENGINE_BACKENDS
 from repro.sim.config import SimulationConfig
 from repro.sim.deadlock import Watchdog
-from repro.sim.engine import BackendUnsupported
+from repro.sim.engine import BackendFallbackWarning, BackendUnsupported
 from repro.sim.kernels import displacement_pass, idle_advance
-from repro.sim.spec import ScenarioSpec, prepare
+from repro.sim.spec import ScenarioSpec, execute, prepare
+from repro.telemetry.probes import PROBE_EVENTS, ProbeBus, ProbeSink
+from repro.telemetry.session import TelemetrySession
+
+from .test_event_horizon import count_ticks
 
 
 def test_soa_restates_no_flow_control_rule():
@@ -158,6 +165,231 @@ class TestParity:
         assert obj["counters"] == got["counters"]
         assert obj["fc_stats"] == got["fc_stats"]
         assert obj["state"] == got["state"]
+
+
+#: The probed parity configurations: the busy and the sparse 8x8 torus,
+#: a Duato-adaptive mesh, a Dateline torus, a flit-level (non-atomic) torus.
+PROBED = [
+    ("WBFC-1VC", "torus:8x8", 0.30, 1200, Switching.WORMHOLE_ATOMIC),
+    ("WBFC-2VC", "mesh:4x4", 0.25, 1500, Switching.WORMHOLE_ATOMIC),
+    ("DL-2VC", "torus:4x4", 0.15, 1500, Switching.WORMHOLE_ATOMIC),
+    ("WBFC-FLIT-1VC", "torus:4x4", 0.35, 1500, Switching.WORMHOLE_NONATOMIC),
+    ("WBFC-1VC", "torus:8x8", 0.0005, 20_000, Switching.WORMHOLE_ATOMIC),
+]
+PROBED_IDS = [f"{d}-{t}@{r}" for d, t, r, _, _ in PROBED]
+BUSY_TORUS, FLIT_TORUS = PROBED[0], PROBED[3]
+
+
+def probed(backend, design, topology, rate, switching, telemetry=(), **spec):
+    prepared = prepare(
+        ScenarioSpec(
+            design=design,
+            topology=topology,
+            injection_rate=rate,
+            config=SimulationConfig(switching=switching),
+            seed=spec.pop("seed", 3),
+            telemetry=telemetry,
+            backend=backend,
+            **spec,
+        )
+    )
+    assert prepared.backend == backend, prepared.backend_unsupported
+    assert prepared.backend_unsupported is None
+    return prepared
+
+
+class Recorder(ProbeSink):
+    """Every event, in dispatch order, as plain data: ``(event, cycle or
+    None, labels / pids / the remaining scalars)``, reading only what a
+    probe argument carries exactly under either engine."""
+
+    def __init__(self):
+        self.stream = []
+
+    def packet_offered(self, node, packet, accepted, cycle):
+        self.stream.append(("packet_offered", cycle, node, packet.pid, accepted))
+
+    def packet_staged(self, node, packet, cycle):
+        self.stream.append(("packet_staged", cycle, node, packet.pid))
+
+    def packet_injected(self, node, packet, cycle):
+        self.stream.append(("packet_injected", cycle, node, packet.pid))
+
+    def packet_ejected(self, packet, cycle):
+        self.stream.append(
+            ("packet_ejected", cycle, packet.pid, packet.hops, packet.latency)
+        )
+
+    def flit_delivered(self, ivc, flit, cycle):
+        self.stream.append(
+            ("flit_delivered", cycle, ivc.label(), flit.packet.pid, flit.index,
+             len(ivc.flits), ivc.owner.pid if ivc.owner else None)
+        )
+
+    def flit_sent(self, node, ivc, flit, cycle):
+        self.stream.append(
+            ("flit_sent", cycle, node, ivc.label(), flit.packet.pid, flit.index,
+             ivc.out_port, ivc.out_vc, len(ivc.flits))
+        )
+
+    def va_grant(self, node, ivc, packet, out_port, out_vc, escape, wait, cycle):
+        self.stream.append(
+            ("va_grant", cycle, node, ivc.label(), packet.pid, out_port, out_vc,
+             escape, wait, ivc.out_port, ivc.out_vc)
+        )
+
+    def credit_stall(self, node, ivc, cycle):
+        self.stream.append(
+            ("credit_stall", cycle, node, ivc.label(), ivc.out_port, ivc.out_vc)
+        )
+
+    def buffer_occupancy(self, ivc, delta):
+        self.stream.append(
+            ("buffer_occupancy", None, ivc.label(), delta, len(ivc.flits))
+        )
+
+    def wb_color(self, ivc, old, new, reason):
+        self.stream.append(
+            ("wb_color", None, ivc.label(), old.name, new.name, reason)
+        )
+
+    def ci_update(self, node, ring_id, delta, reason):
+        self.stream.append(("ci_update", None, node, ring_id, delta, reason))
+
+    def fc_event(self, name, key):
+        self.stream.append(("fc_event", None, name, key))
+
+
+class TestProbedParity:
+    """The probe bus is backend-independent: same events, same arguments,
+    same cycle, same order — so every sink renders the same report."""
+
+    @pytest.mark.parametrize(
+        "design,topology,rate,cycles,switching", PROBED, ids=PROBED_IDS
+    )
+    def test_full_report_bit_identity(
+        self, design, topology, rate, cycles, switching
+    ):
+        reports = {}
+        for backend in ("object", "soa"):
+            prepared = probed(backend, design, topology, rate, switching, "full")
+            prepared.simulator.run(cycles)
+            reports[backend] = prepared.telemetry.report().to_dict()
+        obj, soa = reports["object"], reports["soa"]
+        assert obj["trace_events"] and obj["series"] and obj["counters"]["router"]
+        assert soa.keys() == obj.keys()
+        for section in obj:  # sectioned, so a mismatch names where
+            assert soa[section] == obj[section], section
+
+    @pytest.mark.parametrize(
+        "design,topology,rate,cycles,switching",
+        [BUSY_TORUS, FLIT_TORUS],
+        ids=["busy-torus", "flit-torus"],
+    )
+    def test_recorded_event_stream_identical(
+        self, design, topology, rate, cycles, switching
+    ):
+        streams = {}
+        for backend in ("object", "soa"):
+            prepared = probed(backend, design, topology, rate, switching)
+            # Subscribed after the engine was chosen: a recorder is a
+            # foreign sink, which prepare() would (rightly) refuse to
+            # hand to soa; this one keeps to the probe-exact fields.
+            recorder = Recorder()
+            prepared.network.probes.add_sink(recorder)
+            prepared.simulator.run(cycles)
+            streams[backend] = recorder.stream
+        obj, soa = streams["object"], streams["soa"]
+        # Flit-level WBFC keeps its tokens in slots and emits no token event.
+        tokens = {"wb_color", "ci_update", "fc_event"} if switching is (
+            Switching.WORMHOLE_NONATOMIC
+        ) else set()
+        assert {event for event, *_ in obj} == set(PROBE_EVENTS) - tokens
+        assert len(soa) == len(obj)
+        for i, (a, b) in enumerate(zip(obj, soa)):
+            assert a == b, f"event {i} of {len(obj)}"
+
+    def test_session_attached_mid_run(self):
+        """The half-attached bus: a session that joins a network already
+        driven by ``soa`` sees every event from then on, not just the
+        flow-control hooks' — and ``out_port``/``out_vc`` of worms granted
+        before it joined."""
+        design, topology, rate, _, switching = BUSY_TORUS
+        reports = {}
+        for backend in ("object", "soa"):
+            prepared = probed(backend, design, topology, rate, switching)
+            engine = prepared.simulator
+            engine.run(400)
+            session = TelemetrySession(prepared.network, "full").attach(engine)
+            engine.run(600)
+            reports[backend] = session.report().to_dict()
+            session.detach()
+            assert not prepared.network.probes.active
+            assert session.sampler not in engine.cycle_listeners
+        assert reports["object"]["counters"]["link"]
+        assert reports["soa"] == reports["object"]
+
+    def test_sparse_sampler_keeps_skipping(self):
+        """Idle skipping survives the sampler: the engine inherits
+        ``next_wake``/``skip_span`` through the adopted listener list, so
+        it skips between samples and still lands on every one."""
+        design, topology, rate, cycles, switching = PROBED[4]
+        series, ticked = {}, {}
+        for backend in ("object", "soa"):
+            prepared = probed(
+                backend, design, topology, rate, switching, ("timeseries",)
+            )
+            engine = prepared.simulator
+            ticked[backend] = count_ticks(engine)
+            assert engine.run(cycles) == cycles
+            series[backend] = prepared.telemetry.report().series
+        interval = prepared.telemetry.sampler.interval
+        assert [s["cycle"] for s in series["soa"]] == list(
+            range(0, cycles, interval)
+        )
+        assert series["soa"] == series["object"]
+        assert ticked["soa"] == ticked["object"]
+        assert len(ticked["soa"]) < cycles // 2
+
+    def test_unprobed_run_dispatches_nothing(self, monkeypatch):
+        calls = collections.Counter()
+        for event in PROBE_EVENTS:
+            if event != "packet_ejected":  # the one unconditional event
+                monkeypatch.setattr(
+                    ProbeBus,
+                    event,
+                    lambda self, *args, _event=event: calls.update([_event]),
+                )
+        design, topology, rate, _, switching = BUSY_TORUS
+        prepared = probed("soa", design, topology, rate, switching)
+        prepared.simulator.run(300)
+        assert prepared.network.packets_ejected > 0
+        assert not calls
+
+    def test_store_dedups_probed_summaries_across_backends(self, tmp_path):
+        from repro.sim.checkpoint import ResultStore
+        from repro.sim.spec import execution_stats, reset_execution_stats
+
+        spec = ScenarioSpec(
+            design="WBFC-1VC",
+            topology="torus:4x4",
+            injection_rate=0.25,
+            seed=5,
+            warmup=200,
+            measure=800,
+            telemetry="full",
+        )
+        store = ResultStore(tmp_path / "store")
+        reset_execution_stats()
+        written = execute(dataclasses.replace(spec, backend="soa"), store=store)
+        cached = execute(spec, store=store)
+        assert execution_stats() == {"simulated": 1, "cache_hits": 1}
+        fresh = execute(spec)
+        for summary in (written, cached):
+            assert summary.telemetry.to_dict() == fresh.telemetry.to_dict()
+            assert dataclasses.replace(
+                summary, telemetry=None
+            ) == dataclasses.replace(fresh, telemetry=None)
 
 
 class TestLiveState:
@@ -307,7 +539,7 @@ class TestHandoff:
 
 class TestFallback:
     """Unsupported configurations reject with a witness; prepare() falls
-    back to the object engine silently and records the exception."""
+    back to the object engine, records the exception and warns."""
 
     def _spec(self, **overrides):
         base = dict(
@@ -319,10 +551,20 @@ class TestFallback:
         base.update(overrides)
         return ScenarioSpec(**base)
 
-    def test_supported_spec_is_honored(self):
+    def _falls_back(self, spec, **kwargs):
+        with pytest.warns(BackendFallbackWarning, match="'soa'") as caught:
+            prepared = prepare(spec, **kwargs)
+        assert prepared.backend == "object"
+        exc = prepared.backend_unsupported
+        assert isinstance(exc, BackendUnsupported)
+        assert repr(exc.witness) in str(caught[0].message)
+        return exc.witness
+
+    def test_supported_spec_is_honored(self, recwarn):
         prepared = prepare(self._spec())
         assert prepared.backend == "soa"
         assert prepared.backend_unsupported is None
+        assert not recwarn.list
 
     @pytest.mark.parametrize("design", ["WBFC-2VC", "DL-2VC"])
     def test_widened_matrix_is_honored(self, design):
@@ -333,42 +575,88 @@ class TestFallback:
         assert prepared.backend_unsupported is None
 
     def test_foreign_flow_control_falls_back(self):
-        prepared = prepare(
+        witness = self._falls_back(
             self._spec(
                 design="CBS-1VC",
                 config=SimulationConfig(switching=Switching.WORMHOLE_NONATOMIC),
             )
         )
-        assert prepared.backend == "object"
-        exc = prepared.backend_unsupported
-        assert isinstance(exc, BackendUnsupported)
-        assert exc.witness == ("flow_control", "cbs")
+        assert witness == ("flow_control", "cbs")
 
-    def test_telemetry_session_falls_back(self):
-        prepared = prepare(self._spec(telemetry=("counters",)))
-        assert prepared.backend == "object"
-        assert prepared.backend_unsupported.witness[0] == "telemetry"
+    @pytest.mark.parametrize(
+        "features", [("counters",), ("timeseries",), "full"], ids=str
+    )
+    def test_telemetry_session_is_honored(self, features, recwarn):
+        prepared = prepare(self._spec(telemetry=features))
+        assert prepared.backend == "soa"
+        assert prepared.backend_unsupported is None
+        assert not recwarn.list
+        # One session, one listener list: what prepare() attached to the
+        # object simulator is what the engine ticks and skips by.
+        assert prepared.simulator.telemetry is prepared.telemetry
+        assert prepared.simulator.cycle_listeners is (
+            prepared.simulator.inner.cycle_listeners
+        )
+
+    def test_foreign_probe_subscriber_rejects(self):
+        prepared = prepare(self._spec(backend="object", telemetry="full"))
+        prepared.network.probes.subscribe("flit_sent", lambda *args: None)
+        with pytest.raises(BackendUnsupported) as exc_info:
+            ENGINE_BACKENDS.create("soa", prepared.simulator)
+        assert exc_info.value.witness == (
+            "telemetry",
+            "foreign_subscriber",
+            "flit_sent",
+        )
+
+    def test_foreign_sink_falls_back(self):
+        # A sink subscribed before the engine is chosen (here: by the
+        # watchdog factory, which runs before backend resolution).
+        class Sink(ProbeSink):
+            def credit_stall(self, node, ivc, cycle):
+                pass
+
+        def factory(network):
+            network.probes.add_sink(Sink())
+            return Watchdog(network, deadlock_window=5_000)
+
+        witness = self._falls_back(self._spec(), watchdog=factory)
+        assert witness == ("telemetry", "foreign_subscriber", "credit_stall")
+
+    def test_sanitizer_falls_back(self):
+        witness = self._falls_back(
+            self._spec(config=SimulationConfig(sanitize=True), telemetry="full")
+        )
+        assert witness == ("sanitizer", "on")
 
     def test_custom_watchdog_falls_back(self):
         class QuietWatchdog(Watchdog):
             pass
 
-        prepared = prepare(
+        witness = self._falls_back(
             self._spec(), watchdog=lambda net: QuietWatchdog(net)
         )
-        assert prepared.backend == "object"
-        assert prepared.backend_unsupported.witness == (
-            "watchdog",
-            "QuietWatchdog",
-        )
+        assert witness == ("watchdog", "QuietWatchdog")
 
     def test_cycle_listener_rejects(self):
-        prepared = prepare(self._spec(backend="object"))
+        # The session's own sampler is fine; one listener beside it is not.
+        prepared = prepare(self._spec(backend="object", telemetry="timeseries"))
         sim = prepared.simulator
+        ENGINE_BACKENDS.create("soa", sim)
         sim.cycle_listeners.append(lambda cycle: None)
         with pytest.raises(BackendUnsupported) as exc_info:
             ENGINE_BACKENDS.create("soa", sim)
         assert exc_info.value.witness == ("cycle_listeners", 1)
+
+    def test_fallback_warns_once_per_call_site(self):
+        import warnings
+
+        spec = self._spec(config=SimulationConfig(sanitize=True))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(3):
+                prepare(spec)
+        assert [w.category for w in caught] == [BackendFallbackWarning]
 
 
 class TestRegistryAndSpec:
