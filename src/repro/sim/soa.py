@@ -75,6 +75,43 @@ delivered flit is the one hook whose dispatch cost shows.
 and only the cycle body (``_tick``) and the two questions the skip asks
 of the router pipeline state are answered from the arrays.  Idle-ring
 token rotation is the lanes' own deferral under both engines.
+
+**Parking: what a losing request mutates.**  A request that cannot
+succeed before a known credit returns leaves its live stage set, waits in
+a :class:`_WaitTable` on the buffer(s) it needs, and costs nothing until
+that buffer's event wakes it.  A visit may be skipped only if the loss
+mutates nothing, or only what can be paid lazily:
+
+- VA, eject (``escape == 0``): always granted.
+- VA, single static escape VC (WBFC, flit-level) with ``alloc[didx]``
+  set and — with adaptive VCs, outside an in-ring continuation — every
+  adaptive candidate allocated too: writes ``vafr`` on the first request
+  only (before it parks), holds a rank and a count in the node's
+  rotation, and advances ``va_ptr`` once per cycle.  **Parked** on
+  ``didx`` and each candidate: the rank is kept by a per-node bitmask of
+  parked local indices (``m = live_ready + parked``, live heads visited
+  by merged rank from ``ptr % m``), the advances are paid on the next
+  visit, on wake and in ``_flush()`` (``_va_paid``).
+- VA, ``alloc`` clear but no credit (atomic ``cred != cap``, non-atomic
+  ``cred < 1``): mutates nothing but is a transient; stays live.
+- VA, ``allow_escape`` refuses (WBFC injection): ages the node's request,
+  may mark a worm-bubble, bump ``CI`` and take marker ownership.  Live.
+- VA, Dateline: ``escape_vc_choices`` flips a balance bit per attempt.  Live.
+- SA, not ready or empty buffer: nothing, but no single wake event.  Live.
+- SA, ``cred[odidx] <= 0``: no arbiter pointer (only eligible VCs advance
+  one), but a ``credit_stall`` probe per cycle while the bus is active.
+  **Parked** on ``odidx`` while it is not; a bus that turns active
+  returns every parked sender to the scan first.
+- NIC load, no IDLE staging slot: nothing.  **Parked** on the node's
+  LOCAL port, out of the network's pending set (``_flush()`` re-adds it).
+
+Wake sites, the only places those conditions can change: the credit loop
+of ``_begin_cycle`` (any credit: the sender; a tail credit, which clears
+``alloc``: the heads), ``_send``'s tail (non-atomic ``alloc`` clear: the
+heads; a LOCAL slot released: the NIC).  Parking is derived state — never
+snapshotted, empty after ``_load()``, still counted by ``_is_quiescent``
+— and the head → buffer table is the wait-for relation a deadlock oracle
+starts from.  :attr:`SoAEngine.parking` says how much was not done.
 """
 
 from __future__ import annotations
@@ -98,6 +135,47 @@ __all__ = ["SoAEngine"]
 #: Pipeline states by array code; index == code, ``_ST_CODE`` inverts it.
 _ST_ENUM = (VCState.IDLE, VCState.ROUTING, VCState.WAITING_VA, VCState.ACTIVE)
 _ST_CODE = {member: code for code, member in enumerate(_ST_ENUM)}
+
+
+class _WaitTable:
+    """Requests moved out of a ``live`` set until a buffer's credit returns.
+
+    ``on[d]`` lists who registered on buffer ``d`` (deduplicated on append,
+    dropped whole on wake, so bounded by ``d``'s feeder node);
+    ``since[who]`` is the cycle of a parked requester's last real
+    evaluation.  A registration that outlives its park is stale: ignored,
+    or one harmless re-evaluation if ``who`` has parked again since.
+    ``parks``/``skipped`` are exact, touched at park and wake time only.
+    """
+
+    __slots__ = ("live", "on", "since", "parks", "skipped")
+
+    def __init__(self, live: set[int]) -> None:
+        self.live = live
+        self.on: dict[int, list[int]] = {}
+        self.since: dict[int, int] = {}
+        self.parks = 0
+        self.skipped = 0
+
+    def park(self, who: int, key: int, cycle: int) -> None:
+        self.live.discard(who)
+        self.since[who] = cycle
+        self.parks += 1
+        waiters = self.on.setdefault(key, [])
+        if who not in waiters:
+            waiters.append(who)
+
+    def wake(self, key: int, upto: int) -> list[int]:
+        """Return ``key``'s waiters to ``live``; they skipped through ``upto``."""
+        since = self.since
+        woken = []
+        for who in self.on.pop(key):
+            at = since.pop(who, None)
+            if at is not None:
+                self.skipped += upto - at
+                self.live.add(who)
+                woken.append(who)
+        return woken
 
 
 def _check_supported(sim: Simulator) -> None:
@@ -275,6 +353,16 @@ class SoAEngine(Simulator):
         self._rc = {i for i in range(n) if self._st[i] == 1}
         self._va = {i for i in range(n) if self._st[i] == 2}
         self._sa = {i for i in range(n) if self._st[i] == 3}
+        #: Parking is derived state, rebuilt empty: ``_va``/``_sa`` and the
+        #: network's pending-NIC set hold the *live* requesters, these the
+        #: rest (heads and senders by VC index; NICs by node, keyed by node).
+        self._va_parked = _WaitTable(self._va)
+        self._sa_parked = _WaitTable(self._sa)
+        self._nic_parked = _WaitTable(self.network._pending_nic_nodes)
+        #: Per node: bitmask of parked heads' local indices (their ranks in
+        #: the VA rotation) and the last cycle its ``va_ptr`` is paid through.
+        self._va_mask = [0] * self._N
+        self._va_paid = [0] * self._N
         #: Escape-route derivatives, refreshed by RC (stale outside VA):
         #: escape port, downstream base index (-1 when unconnected or
         #: LOCAL), and the in-ring continuation flag.
@@ -316,14 +404,23 @@ class SoAEngine(Simulator):
             self._sa_in.extend(a._ptr for a in r._sa_input_arbiters)
             self._sa_out.extend(a._ptr for a in r._sa_output_arbiters)
 
-    def _flush(self) -> None:
+    def _flush(self, upto: int | None = None) -> None:
         """Write the arrays back into the object graph.
 
         Afterwards the objects are exactly the state an object-engine run
         would hold at this cycle boundary: snapshots, restores, and direct
         inspection all see the contract state.  The arrays stay valid (this
-        only reads them), so ticking may continue after a flush.
+        only reads them and settles what parking defers), so ticking may
+        continue after a flush.  ``upto`` is the last cycle whose VA phase
+        has run: the previous one, unless a watchdog raises mid-tick.
         """
+        if upto is None:
+            upto = self.cycle - 1
+        for node, mask in enumerate(self._va_mask):
+            if mask:  # a parked head is a ready requester: one advance a cycle
+                self._va_ptr[node] += upto - self._va_paid[node]
+                self._va_paid[node] = upto
+        self.network._pending_nic_nodes.update(self._nic_parked.since)
         for idx, ivc in enumerate(self._ivcs):
             ivc.flits = self._buf[idx]
             ivc._state = _ST_ENUM[self._st[idx]]
@@ -395,12 +492,44 @@ class SoAEngine(Simulator):
     # -- event-horizon answers (asked by Simulator._advance/_skip_to_wake) ------
 
     def _is_quiescent(self) -> bool:
+        # A parked NIC has every staging slot in one of these five.
         return not (
-            self._rc or self._va or self._sa or self.network._pending_nic_nodes
+            self._rc or self._va or self._sa or self._va_parked.since
+            or self._sa_parked.since or self.network._pending_nic_nodes
         )
 
     def _next_event_cycle(self, cycle: int) -> int:
         return min((*self._arr, *self._crq, *self._ejq), default=NEVER)
+
+    # -- parking (module notes: "What a losing request mutates") ----------------
+
+    @property
+    def parking(self) -> dict[str, int]:
+        """Exact counts of the work not done, per phase: requests ``parked``
+        now, ``parks`` so far, evaluations ``skipped`` (settled to now)."""
+        last = self.cycle - 1
+        out = {}
+        for kind, table in (
+            ("va", self._va_parked), ("sa", self._sa_parked), ("nic", self._nic_parked)
+        ):
+            out[f"{kind}_parked"] = len(table.since)
+            out[f"{kind}_parks"] = table.parks
+            out[f"{kind}_skipped"] = table.skipped + sum(
+                last - since for since in table.since.values()
+            )
+        return out
+
+    def _wake_va(self, didx: int, upto: int) -> None:
+        """``alloc[didx]`` cleared: the heads waiting on it ask again, and
+        their node (a buffer has one feeder) pays its ``va_ptr`` to date."""
+        woken = self._va_parked.wake(didx, upto)
+        if woken:
+            PV = self._PV
+            node = woken[0] // PV
+            self._va_ptr[node] += upto - self._va_paid[node]
+            self._va_paid[node] = upto
+            for i in woken:
+                self._va_mask[node] &= ~(1 << (i % PV))
 
     # -- the cycle ------------------------------------------------------------
 
@@ -441,10 +570,23 @@ class SoAEngine(Simulator):
         if events:
             cred = self._cred
             alloc = self._alloc
+            va_on = self._va_parked.on
+            senders = self._sa_parked
+            sa_on = senders.on
+            last = cycle - 1
             for idx, is_tail in events:
                 cred[idx] += 1
                 if is_tail:
                     alloc[idx] = None
+                    if idx in va_on:
+                        self._wake_va(idx, last)
+                if idx in sa_on:
+                    # ``senders.wake(idx, last)``, inline: this is the one
+                    # wake hot enough to show, and a sender registers on one
+                    # buffer, so none of its entries is ever stale.
+                    for i in sa_on.pop(idx):
+                        senders.skipped += last - senders.since.pop(i)
+                        self._sa.add(i)
         events = self._arr.pop(cycle, None)
         if events:
             deliver = self._deliver
@@ -518,19 +660,25 @@ class SoAEngine(Simulator):
         PV = self._PV
         V = self._V
         st = self._st
+        parked = self._nic_parked
         for node in sorted(pending) if len(pending) > 1 else list(pending):
+            if node in parked.since:  # re-added by an offer or a flush
+                pending.discard(node)
+                continue
             nic = nics[node]
             if not nic.queue:
                 net.note_nic_pending(node, False)
                 continue
             base = node * PV
             # First IDLE staging slot among the LOCAL port's VCs, exactly
-            # like ``NIC.load``; none idle leaves the node pending.
+            # like ``NIC.load``; none idle parks the node until ``_send``
+            # releases one.
             for vc in range(V):
                 idx = base + vc
                 if st[idx] == 0:
                     break
             else:
+                parked.park(node, node, cycle)
                 continue
             packet = nic.queue.popleft()
             buf = self._buf[idx]
@@ -616,6 +764,8 @@ class SoAEngine(Simulator):
         feeder = self._feeder
         allow_escape = self._fc.allow_escape
         grant = self._grant
+        va_mask = self._va_mask
+        va_paid = self._va_paid
         # One sorted pass groups the waiting set by node; ascending idx
         # within a node is ascending (port, vc), the object engine's scan
         # order.  Grants never touch another node's waiting VCs, so the
@@ -632,11 +782,30 @@ class SoAEngine(Simulator):
                 if cycle >= ready[i]:
                     requesters.append(i)
                 pos += 1
-            if not requesters:
-                continue
             m = len(requesters)
-            offset = va_ptr[node] % m
-            va_ptr[node] += 1
+            mask = va_mask[node]
+            if mask:
+                # Parked heads are ready requesters that lose: each cycle
+                # since the last visit advanced the pointer, they count in
+                # the modulus, and the live heads keep their ranks in the
+                # merged (port, vc) order.
+                va_ptr[node] += cycle - va_paid[node]
+                va_paid[node] = cycle
+                if not m:
+                    continue
+                offset = (va_ptr[node] - 1) % (m + mask.bit_count())
+                base = node * PV
+                for t, i in enumerate(requesters):
+                    if t + (mask & ((1 << (i - base)) - 1)).bit_count() >= offset:
+                        offset = t
+                        break
+                else:
+                    offset = 0
+            elif m:
+                offset = va_ptr[node] % m
+                va_ptr[node] += 1
+            else:
+                continue
             for t in range(m):
                 t += offset
                 i = requesters[t if t < m else t - m]
@@ -667,6 +836,7 @@ class SoAEngine(Simulator):
                 # admission test, then ask the scheme.
                 didx = dbase
                 if alloc[didx] is not None:
+                    self._park_va(node, i, didx, in_ring, cycle)
                     continue
                 if atomic:
                     if cred[didx] != cap[didx]:
@@ -680,6 +850,29 @@ class SoAEngine(Simulator):
                     ovc.credits = cred[didx]
                 if allow_escape(packet, node, escape, ovc, in_ring, cycle):
                     grant(node, i, packet, escape, 0, didx, True, in_ring, cycle)
+
+    def _park_va(self, node: int, i: int, didx: int, in_ring: bool, cycle: int):
+        """Park head ``i`` on every output VC it could be granted, if all
+        of them are allocated; one that is free but still draining
+        (``cred != cap``) is a transient and keeps the head live."""
+        waits = []
+        if self._has_adaptive and not in_ring:
+            alloc = self._alloc
+            nb = node * self._P
+            for port in self._rcand[i][0]:
+                dbase = self._out_base[nb + port]
+                if dbase is not None:
+                    for d in range(dbase + self._nev, dbase + self._V):
+                        if alloc[d] is None:
+                            return
+                        waits.append(d)
+        self._va_mask[node] |= 1 << (i % self._PV)
+        self._va_paid[node] = cycle
+        self._va_parked.park(i, didx, cycle)
+        for d in waits:  # and on each adaptive candidate, deduplicated too
+            waiters = self._va_parked.on.setdefault(d, [])
+            if i not in waiters:
+                waiters.append(i)
 
     def _try_adaptive(
         self, node: int, i: int, packet, adaptive_ports, cycle: int
@@ -822,8 +1015,17 @@ class SoAEngine(Simulator):
 
     def _sa_phase(self, cycle: int) -> None:
         sa = self._sa
+        parked = self._sa_parked
+        probes = self._probes
+        if parked.since and probes.active:
+            # ``credit_stall`` fires per stalled VC per cycle: a bus that
+            # turned active returns every parked sender to the scan.
+            for d in sorted(parked.on):
+                parked.wake(d, cycle - 1)
         if not sa:
             return
+        stalled: list[int] = []
+        stall = stalled.append
         PV = self._PV
         V = self._V
         ready = self._ready
@@ -834,7 +1036,6 @@ class SoAEngine(Simulator):
         sa_in = self._sa_in
         sa_out = self._sa_out
         send = self._send
-        probes = self._probes
         ivcs = self._ivcs
         # Same grouping trick as VA: sends only mutate their own node's
         # buffers this cycle (arrivals land on future cycles), so the
@@ -860,6 +1061,8 @@ class SoAEngine(Simulator):
                         send(i, cycle)
                     elif probes.active:
                         probes.credit_stall(node, ivcs[i], cycle)
+                    else:
+                        stall(i)
                 continue
             if V == 1:
                 # One VC per input port: each input arbiter has exactly one
@@ -874,6 +1077,8 @@ class SoAEngine(Simulator):
                     if out_port != 0 and cred[odidx[i]] <= 0:
                         if probes.active:
                             probes.credit_stall(node, ivcs[i], cycle)
+                        else:
+                            stall(i)
                         continue
                     sa_in[i] += 1
                     requests.setdefault(out_port, []).append(i)
@@ -886,6 +1091,8 @@ class SoAEngine(Simulator):
                     if out_port != 0 and cred[odidx[i]] <= 0:
                         if probes.active:
                             probes.credit_stall(node, ivcs[i], cycle)
+                        else:
+                            stall(i)
                         continue
                     by_port.setdefault(i // V, []).append(i)
                 requests = {}
@@ -898,6 +1105,9 @@ class SoAEngine(Simulator):
                 ptr = sa_out[base_p + out_port]
                 sa_out[base_p + out_port] = ptr + 1
                 send(reqs[ptr % len(reqs)], cycle)
+        # No credit returns within a phase, so parking can wait for its end.
+        for i in stalled:
+            parked.park(i, odidx[i], cycle)
 
     def _send(self, idx: int, cycle: int) -> None:
         acc = self._acc
@@ -944,9 +1154,14 @@ class SoAEngine(Simulator):
                 # Non-atomic: downstream accepts the next packet as soon as
                 # this tail is on the wire.
                 self._alloc[didx] = None
+                if didx in self._va_parked.on:
+                    self._wake_va(didx, cycle)
             if local:
                 self.network.backlog_packets -= 1
                 self._release(idx)
+                node = idx // self._PV
+                if node in self._nic_parked.on:
+                    self._nic_parked.wake(node, cycle)
             elif atomic:
                 # ``on_vacate`` then the bubble flip of the owner's
                 # departure, in the order ``InputVC.release`` fires them.
@@ -1013,7 +1228,7 @@ class SoAEngine(Simulator):
             wd.observe(cycle)
         except (DeadlockError, StarvationError):
             # Leave the object graph consistent for post-mortem inspection.
-            self._flush()
+            self._flush(cycle)
             raise
 
 

@@ -118,6 +118,7 @@ def blocked_heads(network: "Network") -> list[dict]:
                 if ivc.state is not VCState.WAITING_VA or not ivc.flits:
                     continue
                 packet = ivc.flits[0].packet
+                ctx = packet.current_ctx
                 adaptive_ports, escape_port = ivc.route_candidates
                 reasons = []
                 if escape_port == LOCAL_PORT:
@@ -138,7 +139,14 @@ def blocked_heads(network: "Network") -> list[dict]:
                         )
                     outs = router.outputs[escape_port]
                     in_ring = fc.is_in_ring_move(ivc, router.node, escape_port)
-                    for vc in fc.escape_vc_choices(packet, router.node, escape_port, in_ring):
+                    # The pure view of the choice: ``escape_vc_choices``
+                    # is the router's call and may mutate (Dateline flips
+                    # its balance bit per attempt), and looking at a
+                    # network must not change it.
+                    held = int(ctx.dl_high) if ctx is not None else None
+                    for vc in fc.certify_escape_classes(
+                        packet, router.node, escape_port, in_ring, held
+                    ):
                         ovc = outs[vc]
                         if not router._ovc_admits(ovc, packet):
                             reasons.append(
@@ -153,7 +161,6 @@ def blocked_heads(network: "Network") -> list[dict]:
                                 f"(color={down.color.name}, ring={down.ring_id}, "
                                 f"in_ring={in_ring})"
                             )
-                ctx = packet.current_ctx
                 out.append(
                     {
                         "node": router.node,

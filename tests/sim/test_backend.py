@@ -70,6 +70,11 @@ def normalize(x, seen=None):
         seen = {}
     if isinstance(x, _PRIM):
         return x
+    if isinstance(x, tuple) and all(isinstance(v, _PRIM) for v in x):
+        # An immutable value (a route's port tuple): whether two holders
+        # share one object depends on which routing memo made it, i.e. on
+        # hand-over history, and is not state.
+        return list(x)
     oid = id(x)
     if oid in seen:
         return {"__ref__": seen[oid]}
@@ -94,8 +99,12 @@ def normalize(x, seen=None):
     return repr(x)
 
 
-def run_backend(backend, design, topology, rate, cycles, switching, seed=3):
-    """One measured run; returns every observable the contract covers."""
+def run_backend(backend, design, topology, rate, cycles, switching, seed=3, cut=None):
+    """One measured run; returns every observable the contract covers.
+
+    ``cut``: a cycle at which to take (and drop) a snapshot on the way —
+    under ``soa`` a flush, which must settle what parking defers and
+    leave the run undisturbed."""
     spec = ScenarioSpec(
         design=design,
         topology=topology,
@@ -113,7 +122,10 @@ def run_backend(backend, design, topology, rate, cycles, switching, seed=3):
         # the SoA engine against the plain ticked reference.
         sim.skip_idle = False
     prepared.collector.begin(0)
-    sim.run(cycles)
+    if cut is not None:
+        sim.run(cut)
+        sim.snapshot()
+    sim.run(cycles - sim.cycle)
     prepared.collector.end(sim.cycle)
     net = prepared.network
     return {
@@ -165,6 +177,60 @@ class TestParity:
         assert obj["counters"] == got["counters"]
         assert obj["fc_stats"] == got["fc_stats"]
         assert obj["state"] == got["state"]
+
+
+#: Where parking is densest (the two busy 8x8 ledger workloads come first)
+#: plus one of each remaining VA shape: three-VC adaptive near saturation,
+#: Dateline (never parks in VA) and non-atomic flit-level.
+LOCKSTEP = [
+    ("WBFC-2VC", "mesh:8x8", 0.20, Switching.WORMHOLE_ATOMIC),
+    ("WBFC-1VC", "torus:8x8", 0.30, Switching.WORMHOLE_ATOMIC),
+    ("WBFC-3VC", "torus:4x4", 0.58, Switching.WORMHOLE_ATOMIC),
+    ("DL-2VC", "torus:4x4", 0.35, Switching.WORMHOLE_ATOMIC),
+    ("WBFC-FLIT-1VC", "torus:4x4", 0.35, Switching.WORMHOLE_NONATOMIC),
+]
+BUSY_MESH = LOCKSTEP[0]
+
+
+def pipeline_pointers(network):
+    """What a lazily paid arbiter or request age would get wrong."""
+    return [
+        (
+            router._va_arbiter._ptr,
+            [a._ptr for a in router._sa_input_arbiters],
+            [a._ptr for a in router._sa_output_arbiters],
+            [[ivc.va_first_request for ivc in port] for port in router.inputs],
+        )
+        for router in network.routers
+    ]
+
+
+class TestPointerLockstep:
+    """Parked requesters owe their arbiters nothing: at every sampled
+    ``_flush()`` each round-robin pointer and each ``va_first_request``
+    equals the object engine's, so a slip fails at the cycle it happens."""
+
+    @pytest.mark.parametrize(
+        "design,topology,rate,switching",
+        LOCKSTEP,
+        ids=[f"{d}-{t}" for d, t, _, _ in LOCKSTEP],
+    )
+    def test_pointers_equal_at_every_flush(self, design, topology, rate, switching):
+        obj = probed("object", design, topology, rate, switching)
+        soa = probed("soa", design, topology, rate, switching)
+        parked = 0
+        for _ in range(30):
+            obj.simulator.run(37)
+            soa.simulator.run(37)
+            parking = soa.simulator.parking
+            parked += parking["va_parked"] + parking["sa_parked"]
+            soa.simulator._flush()
+            got = pipeline_pointers(soa.network)
+            want = pipeline_pointers(obj.network)
+            for node, (a, b) in enumerate(zip(want, got)):
+                assert a == b, f"node {node} at cycle {soa.simulator.cycle}"
+        assert parked, "nothing was ever parked at a flush: the test is vacuous"
+        assert soa.network.activity == obj.network.activity
 
 
 #: The probed parity configurations: the busy and the sparse 8x8 torus,
@@ -537,6 +603,157 @@ class TestHandoff:
         assert normalize(b.simulator.snapshot().state) == reference_state
 
 
+class TestParkedHandoff:
+    """Parking is derived state: a cut taken while VA heads, SA senders
+    and NICs are parked snapshots, restores, hands over and meets a probe
+    bus exactly like the object engine (busy mesh, where it is densest)."""
+
+    CUT, LEG = 400, 200
+
+    def _fresh(self, backend):
+        design, topology, rate, switching = BUSY_MESH
+        return probed(backend, design, topology, rate, switching)
+
+    def _at_cut(self, backend):
+        prepared = self._fresh(backend)
+        prepared.simulator.run(self.CUT)
+        return prepared
+
+    def _parked_at_cut(self):
+        prepared = self._at_cut("soa")
+        parking = prepared.simulator.parking
+        assert min(parking[f"{kind}_parked"] for kind in ("va", "sa", "nic")), (
+            f"scenario drift: nothing parked at the cut: {parking}"
+        )
+        return prepared
+
+    @pytest.fixture(scope="class")
+    def reference_state(self):
+        ref = self._fresh("object")
+        ref.simulator.run(self.CUT + 2 * self.LEG)
+        return normalize(ref.simulator.snapshot().state)
+
+    def test_snapshot_while_parked(self, reference_state):
+        """Restored into ``object`` and continued in place: both match."""
+        a = self._parked_at_cut()
+        snap = a.simulator.snapshot()
+        assert a.simulator.parking["va_parked"], "a flush must not unpark"
+        assert a.network._pending_nic_nodes == {
+            nic.node for nic in a.network.nics if nic.queue
+        }
+        b = self._fresh("object")
+        b.simulator.restore(snap)
+        for prepared in (a, b):
+            prepared.simulator.run(2 * self.LEG)
+            assert normalize(prepared.simulator.snapshot().state) == reference_state
+
+    def test_soa_to_object_to_soa(self, reference_state):
+        a = self._parked_at_cut()
+        b = self._fresh("object")
+        b.simulator.restore(a.simulator.snapshot())
+        b.simulator.run(self.LEG)
+        c = self._fresh("soa")
+        c.simulator.run(self.CUT // 2)  # restore must drop this twin's parking
+        c.simulator.restore(b.simulator.snapshot())
+        assert not any(
+            c.simulator.parking[f"{kind}_parked"] for kind in ("va", "sa", "nic")
+        )
+        c.simulator.run(self.LEG)
+        assert normalize(c.simulator.snapshot().state) == reference_state
+
+    def test_session_attached_then_detached(self):
+        """``credit_stall`` fires per stalled VC per cycle, so an active
+        bus returns every parked sender to the scan and parks none."""
+        results = {}
+        for backend in ("object", "soa"):
+            prepared = (
+                self._parked_at_cut() if backend == "soa" else self._at_cut(backend)
+            )
+            engine = prepared.simulator
+            session = TelemetrySession(prepared.network, "full").attach(engine)
+            engine.run(self.LEG)
+            report = session.report().to_dict()
+            session.detach()
+            if backend == "soa":
+                assert engine.parking["sa_parked"] == 0
+                sa_parks = engine.parking["sa_parks"]
+            engine.run(self.LEG)
+            results[backend] = (report, normalize(engine.snapshot().state))
+        assert engine.parking["sa_parks"] > sa_parks, "parking never resumed"
+        stalls = sum(
+            events.get("credit_stalls", 0)
+            for events in results["object"][0]["counters"]["router"].values()
+        )
+        assert stalls > 1000
+        assert results["soa"] == results["object"]
+
+
+    def test_watchdog_raise_leaves_exact_pointers(self):
+        """The pre-raise flush happens mid-tick, after that cycle's VA
+        phase: parked nodes owe their arbiter one advance more than at a
+        cycle boundary."""
+        from repro.sim.deadlock import StarvationError
+
+        design, topology, rate, switching = BUSY_MESH
+        wedged = {}
+        for backend in ("object", "soa"):
+            prepared = prepare(
+                ScenarioSpec(
+                    design=design, topology=topology, injection_rate=rate,
+                    seed=3, backend=backend,
+                ),
+                watchdog=lambda net: Watchdog(
+                    net, starvation_window=160, raise_on_starvation=True
+                ),
+            )
+            assert prepared.backend == backend, prepared.backend_unsupported
+            with pytest.raises(StarvationError) as raised:
+                prepared.simulator.run(2000)
+            if backend == "soa":
+                assert prepared.simulator.parking["va_parked"]
+            wedged[backend] = (
+                str(raised.value),
+                prepared.simulator.cycle,
+                pipeline_pointers(prepared.network),
+            )
+        assert wedged["soa"] == wedged["object"]
+
+
+class TestParkingCounts:
+    """The run says how much it did not do: exact counts, updated only
+    at park and wake time, pinned on the two ledger extremes."""
+
+    @staticmethod
+    def _run(backend, design, topology, rate, cycles):
+        prepared = probed(
+            backend, design, topology, rate, Switching.WORMHOLE_ATOMIC, seed=1
+        )
+        prepared.simulator.run(cycles)
+        return prepared
+
+    def test_busy_mesh_skips_most_va_evaluations(self):
+        design, topology, rate, _ = BUSY_MESH
+        soa = self._run("soa", design, topology, rate, 3000)
+        parking = soa.simulator.parking
+        assert parking["va_skipped"] >= 450_000
+        assert parking["sa_skipped"] >= 150_000
+        assert parking["nic_skipped"] >= 100_000
+        for kind in ("va", "sa", "nic"):
+            assert 0 < parking[f"{kind}_parked"] <= parking[f"{kind}_parks"]
+        # Reading settles the still-parked to now without moving them.
+        assert soa.simulator.parking == parking
+        obj = self._run("object", design, topology, rate, 3000)
+        assert soa.network.activity == obj.network.activity
+
+    def test_sparse_torus_parks_next_to_nothing(self):
+        soa = self._run("soa", "WBFC-1VC", "torus:8x8", 0.0005, 30_000)
+        parking = soa.simulator.parking
+        assert soa.network.packets_ejected > 100
+        assert parking["va_skipped"] + parking["nic_skipped"] < 50
+        assert parking["sa_skipped"] < 2_000
+        assert not any(parking[f"{kind}_parked"] for kind in ("va", "sa", "nic"))
+
+
 class TestFallback:
     """Unsupported configurations reject with a witness; prepare() falls
     back to the object engine, records the exception and warns."""
@@ -778,14 +995,15 @@ class TestDifferential:
         rate=st.integers(min_value=2, max_value=35),
         seed=st.integers(min_value=0, max_value=2**16),
         cycles=st.integers(min_value=300, max_value=700),
+        cut=st.integers(min_value=1, max_value=299),
     )
-    def test_random_scenarios_agree(self, combo, rate, seed, cycles):
+    def test_random_scenarios_agree(self, combo, rate, seed, cycles, cut):
         design, topology, switching = combo
         obj = run_backend(
             "object", design, topology, rate / 100, cycles, switching, seed
         )
         got = run_backend(
-            "soa", design, topology, rate / 100, cycles, switching, seed
+            "soa", design, topology, rate / 100, cycles, switching, seed, cut
         )
         assert obj == got
 

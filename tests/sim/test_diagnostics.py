@@ -64,3 +64,43 @@ class TestBlockedHeads:
         text = format_blocked_heads(wedged_network, limit=1)
         # Header plus exactly one record line.
         assert len(text.splitlines()) == min(1, len(records)) + 1
+
+
+class TestInspectionIsPure:
+    """Looking at a network must not change it: ``blocked_heads`` reads
+    the escape classes through the scheme's pure view, never through the
+    router's ``escape_vc_choices`` (Dateline flips a balance bit there)."""
+
+    @staticmethod
+    def _run(design, inspect_at=None):
+        import dataclasses
+
+        from repro.sim.spec import ScenarioSpec, prepare
+
+        from .test_backend import normalize
+
+        prepared = prepare(
+            ScenarioSpec(
+                design=design, topology="torus:4x4", injection_rate=0.45, seed=3
+            )
+        )
+        prepared.collector.begin(0)
+        prepared.simulator.run(700)
+        if inspect_at is not None:
+            fc = prepared.network.flow_control
+            before = normalize(fc.snapshot_state())
+            inspect_at.extend(blocked_heads(prepared.network))
+            assert normalize(fc.snapshot_state()) == before
+        prepared.simulator.run(800)
+        prepared.collector.end(prepared.simulator.cycle)
+        return (
+            dataclasses.asdict(prepared.collector.summary()),
+            prepared.network.activity,
+        )
+
+    @pytest.mark.parametrize("design", ["WBFC-1VC", "WBFC-2VC", "DL-2VC"])
+    def test_inspected_run_equals_uninspected(self, design):
+        records = []
+        inspected = self._run(design, records)
+        assert records, "no head was blocked at the inspection point"
+        assert inspected == self._run(design)
