@@ -2,11 +2,13 @@
 
 Runs one fresh sub-saturation measurement per design (the five paper
 designs plus the CBS extension), validates it against the analytic
-bounds, and caches the measured summary next to the bound values and the
-exact ``python -m repro.analysis bounds`` CLI arguments that reproduce
-them.  CI then recomputes the bounds only — no simulation — and fails if
-any cached measurement violates a freshly computed bound (i.e. if a
-change tightened a bound past reality or broke the bound math).
+saturation bound, and caches the measured packet count and accepted
+throughput next to the bound values and the exact
+``python -m repro.analysis bounds`` CLI arguments that reproduce them.
+CI then recomputes the bounds only — no simulation — and fails if any
+cached rate is no longer below the saturation bound or any cached
+throughput exceeds it (i.e. if a change tightened the bound past reality
+or broke the channel-load math).
 
 Usage::
 
@@ -71,11 +73,9 @@ def main() -> None:
                 "seed": SEED,
                 "measured": {
                     "packets": summary.packets,
-                    "p99_latency": summary.p99_latency,
                     "throughput": summary.throughput,
                 },
                 "bounds_at_generation": {
-                    "max_latency_bound": report.max_latency_bound,
                     "saturation_injection_rate": report.saturation_injection_rate,
                     "saturation_throughput": report.saturation_throughput,
                 },

@@ -26,11 +26,11 @@ Three coordinated passes, all rooted in the paper's correctness story:
   identity-keyed ``dict`` iteration in the cycle kernel, and mutable
   default arguments.
 
-- :mod:`repro.analysis.bounds` — an **analytic bound engine**: static
-  per-flow worst-case latency bounds and a saturation-throughput bound
-  derived from any :class:`~repro.sim.spec.ScenarioSpec` without
+- :mod:`repro.analysis.bounds` — an **analytic bound engine**: a
+  channel-load saturation-throughput bound derived from any
+  :class:`~repro.sim.spec.ScenarioSpec` the certifier accepts, without
   constructing a simulator, plus a validation harness that cross-checks
-  any measurement (cached or fresh) against those bounds.
+  any measurement (cached or fresh) against that bound.
 
 CLI::
 
@@ -44,7 +44,6 @@ from .bounds import (
     BoundsReport,
     BoundsUnsupported,
     BoundsValidation,
-    FlowBound,
     compute_bounds,
     compute_network_bounds,
     validate_bounds,
@@ -58,7 +57,6 @@ __all__ = [
     "BoundsReport",
     "BoundsUnsupported",
     "BoundsValidation",
-    "FlowBound",
     "compute_bounds",
     "compute_network_bounds",
     "validate_bounds",

@@ -8,9 +8,9 @@ Commands:
     inverts the exit status for negative controls in CI.
 
 ``bounds <DESIGN>``
-    Derive static per-flow latency and saturation-throughput bounds for a
-    design (exit 0) or report an explicit ``BoundsUnsupported`` witness
-    (exit 1).  ``--expect-unsupported`` inverts the exit status.
+    Derive static saturation bounds for a certified design (exit 0) or
+    report an explicit ``BoundsUnsupported`` witness (exit 1).
+    ``--expect-unsupported`` inverts the exit status.
 
 The determinism lint pass has its own entry point,
 ``python -m repro.analysis.lint <path> [path ...]``.
@@ -79,21 +79,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     )
     report = compute_bounds(spec)
     if args.json:
-        print(
-            json.dumps(
-                report.to_dict(include_flows=args.flows),
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.report())
-        if args.flows and report.supported:
-            for f in report.flows:
-                print(
-                    f"  flow {f.src}->{f.dst}: {f.hops} hop(s), "
-                    f"latency <= {f.latency_bound}"
-                )
     if args.expect_unsupported:
         if report.supported:
             if not args.json:
@@ -136,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     p_cert.set_defaults(fn=_cmd_certify)
 
     p_bounds = sub.add_parser(
-        "bounds", help="derive static latency and saturation bounds"
+        "bounds", help="derive static saturation bounds"
     )
     p_bounds.add_argument("design", help="design name, e.g. WBFC-1VC")
     _common_spec_args(p_bounds)
@@ -145,11 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         "--fixed-length",
         action="store_true",
         help="use fixed max-size packets instead of the bimodal default",
-    )
-    p_bounds.add_argument(
-        "--flows",
-        action="store_true",
-        help="include the per-flow latency bound table",
     )
     p_bounds.add_argument(
         "--expect-unsupported",

@@ -1,7 +1,7 @@
 """Determinism lint: AST checks that keep simulations reproducible.
 
 Every result in this repo must be a pure function of its
-:class:`~repro.sim.config.SimulationConfig` (seed included).  Three
+:class:`~repro.sim.spec.ScenarioSpec` (seed included).  Three
 classes of bugs silently break that, and all three are statically
 detectable, so this pass runs in CI over ``src/repro``:
 
@@ -9,7 +9,7 @@ detectable, so this pass runs in CI over ``src/repro``:
     ``import random``, ``import numpy.random`` (any spelling), or calls
     into ``random.*`` / ``np.random.*`` anywhere except
     :mod:`repro.sim.rng`, the one module allowed to own entropy.  Seeded
-    generators must be threaded from the config, never conjured locally.
+    generators must be threaded from the spec's seed, never conjured locally.
 
 ``direct-time``
     ``import time`` / ``time.*()`` / ``datetime.now()`` in library code:

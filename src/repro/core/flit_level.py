@@ -134,12 +134,6 @@ class FlitLevelWBFC(FlowControl):
             f"{ml - 1} black)"
         )
 
-    def bound_bubble_flits(self, ring_id: str) -> int | None:
-        """Flit-sized worm-bubbles: the surviving entitlement is one flit."""
-        if self.certify_ring_exempt(ring_id) is None:
-            return None
-        return 1
-
     # -- slot arithmetic ------------------------------------------------------
 
     def whites(self, ovc: OutputVC) -> int:

@@ -381,13 +381,6 @@ class WormBubbleFlowControl(FlowControl):
             f"marked worm-bubble alive (ML={ml}: 1 gray + {ml - 1} black)"
         )
 
-    def bound_bubble_flits(self, ring_id: str) -> int | None:
-        """The surviving marked worm-bubble is one whole escape buffer."""
-        if self.certify_ring_exempt(ring_id) is None:
-            return None
-        assert self.network is not None
-        return self.network.config.buffer_depth
-
     # -- Definition 3 ----------------------------------------------------------
 
     @staticmethod

@@ -161,8 +161,6 @@ def _run_bounds(report: ExperimentReport, scale) -> None:
             "pattern",
             "design",
             "rate",
-            "p99",
-            "p99_bound",
             "throughput",
             "throughput_bound",
             "ok",
@@ -172,8 +170,6 @@ def _run_bounds(report: ExperimentReport, scale) -> None:
                 pattern,
                 design,
                 v.injection_rate,
-                v.summary.p99_latency,
-                study.reports[(pattern, design)].max_latency_bound,
                 v.summary.throughput,
                 study.reports[(pattern, design)].saturation_throughput,
                 v.ok,

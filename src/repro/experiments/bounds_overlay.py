@@ -5,7 +5,7 @@ computes the static :class:`~repro.analysis.bounds.BoundsReport` once,
 sweeps the simulated curve as usual, and then replays every measured
 point through :func:`~repro.analysis.bounds.validate_bounds` — the
 measurements are passed in directly, so the cross-check costs no extra
-simulation.  The rendering prints, per load point, the simulated p99 and
+simulation.  The rendering prints, per load point, the simulated
 accepted throughput next to the analytic ceiling and the verdict, plus
 the analytic saturation rate as the curve's vertical asymptote.
 """
@@ -97,8 +97,6 @@ def render_bounds_overlay(study: BoundsOverlayStudy) -> str:
             rows.append(
                 [
                     f"{point.injection_rate:.3f}",
-                    f"{min(point.summary.p99_latency, 999999):.1f}",
-                    f"{report.max_latency_bound}",
                     f"{point.summary.throughput:.3f}",
                     f"{report.saturation_throughput:.3f}",
                     ("ok" if v.ok else "VIOLATION")
@@ -107,7 +105,7 @@ def render_bounds_overlay(study: BoundsOverlayStudy) -> str:
             )
         blocks.append(
             format_table(
-                ["rate", "p99", "p99_bound", "thr", "thr_bound", "verdict"],
+                ["rate", "thr", "thr_bound", "verdict"],
                 rows,
                 f"{title} — analytic saturation rate "
                 f"{report.saturation_injection_rate:.3f} "

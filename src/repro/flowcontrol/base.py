@@ -221,25 +221,6 @@ class FlowControl(ABC):
         """
         return None
 
-    def bound_bubble_flits(self, ring_id: str) -> int | None:
-        """Guaranteed free-space entitlement of an exempt ring, in flits.
-
-        The analytic bound engine (:mod:`repro.analysis.bounds`) models a
-        contracted ring as a server whose worst-case admission time scales
-        with how much free space the scheme provably keeps alive inside
-        the ring: WBFC's surviving marked worm-bubble (one escape buffer),
-        flit-level WBFC's single-flit bubble, CBS's critical bubble, and
-        localized BFC's packet-sized bubble.  Schemes that never contract
-        rings (Dateline's VC classes, the unrestricted control) return
-        ``None`` — for them no ring vertex exists (or the configuration is
-        rejected outright), so no ring drain bound is ever requested.
-
-        Must be static and side-effect-free, like
-        :meth:`certify_ring_exempt`; a scheme returning a justification
-        there must return a positive flit count here.
-        """
-        return None
-
     def certify_escape_classes(
         self,
         packet: Packet,

@@ -56,13 +56,6 @@ class LocalizedBubbleFlowControl(FlowControl):
             "(localized two-bubble injection condition)"
         )
 
-    def bound_bubble_flits(self, ring_id: str) -> int | None:
-        """The surviving bubble holds one maximum-size packet."""
-        if self.certify_ring_exempt(ring_id) is None:
-            return None
-        assert self.network is not None
-        return self.network.config.max_packet_length
-
     def escape_vc_choices(
         self, packet: Packet, node: int, out_port: int, in_ring: bool
     ) -> tuple[int, ...]:

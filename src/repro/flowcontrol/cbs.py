@@ -105,16 +105,6 @@ class CriticalBubbleScheme(FlowControl):
             "bubble (injections must leave it; transit displaces it backward)"
         )
 
-    def bound_bubble_flits(self, ring_id: str) -> int | None:
-        """The guaranteed entitlement is the critical bubble itself."""
-        if self.certify_ring_exempt(ring_id) is None:
-            return None
-        assert self.network is not None
-        cfg = self.network.config
-        if self.bubble_flits is not None:
-            return self.bubble_flits
-        return cfg.max_packet_length if cfg.switching is Switching.VCT else 1
-
     # -- rules -----------------------------------------------------------------
 
     def escape_vc_choices(

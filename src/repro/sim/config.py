@@ -59,8 +59,6 @@ class SimulationConfig:
     source_queue_depth: int | None = None
     #: Switching mode: wormhole-atomic (default), VCT, or non-atomic wormhole.
     switching: Switching = Switching.WORMHOLE_ATOMIC
-    #: Experiment seed; all randomness derives from it.
-    seed: int = 1
     #: Enable the runtime invariant sanitizer (repro.analysis.sanitizer).
     #: ``REPRO_SANITIZE=1`` turns it on globally without touching configs;
     #: when off, nothing is registered on the engine (zero cost).
