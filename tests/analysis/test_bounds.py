@@ -68,6 +68,14 @@ class TestSupportedDesigns:
             report = compute_bounds(_spec("WBFC-1VC", topology=topo))
             assert report.supported, report.report()
 
+    def test_report_keeps_only_the_saturation_fields(self):
+        data = compute_bounds(_spec("WBFC-1VC")).to_dict()
+        assert set(data) == {
+            "design", "topology", "pattern", "scheme", "supported",
+            "assumptions", "exempt_rings", "saturation_injection_rate",
+            "saturation_throughput", "generation_rate", "bottleneck",
+        }
+
     def test_deterministic_recomputation(self):
         a = compute_bounds(_spec("WBFC-2VC"))
         b = compute_bounds(_spec("WBFC-2VC"))
@@ -108,6 +116,15 @@ class TestUnsupportedWitnesses:
         assert isinstance(report.unsupported, BoundsUnsupported)
         assert "cycle" in report.unsupported.reason
         assert len(report.unsupported.witness) >= 2
+
+    def test_rejection_carries_the_certificate(self):
+        """A certifier rejection reaches the report unchanged: its reasons
+        in the text, its dependence cycle as the witness."""
+        report = compute_bounds(_spec("UNRESTRICTED-1VC"))
+        cert = certify("UNRESTRICTED-1VC", "torus:4x4")
+        assert not cert.ok
+        assert report.unsupported.witness == cert.witness
+        assert all(r in report.unsupported.reason for r in cert.reasons)
 
     def test_wbfc_on_unbridged_hierarchy_unsupported(self):
         """Per-ring WBFC cannot bound the local->global->local hierarchy."""
@@ -223,6 +240,16 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["supported"] is False
+
+    def test_bounds_hierarchy_expect_unsupported(self):
+        """The certifier's hierarchy rejection stays a bounds rejection."""
+        proc = self._run(
+            "bounds", "WBFC-1VC", "--topology", "hring:4x4",
+            "--expect-unsupported", "--json",
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["supported"] is False and data["unsupported"]["witness"]
 
     def test_bounds_unsupported_exits_nonzero(self):
         proc = self._run("bounds", "UNRESTRICTED-1VC")

@@ -68,6 +68,18 @@ class TestHarnessMechanics:
         validation = validate_bounds(spec, summary=doctored)
         assert not validation.ok
 
+    def test_ejection_capacity_violation_detected_above_saturation(self):
+        """The per-node ejection ceiling holds at every operating point,
+        also where the saturation bound is waived."""
+        spec = _spec("WBFC-1VC", rate=0.6, pattern="TP")  # TP bound: 0.5
+        real = validate_bounds(spec)
+        assert not real.below_saturation
+        bw = float(spec.config.link_bandwidth_flits)
+        doctored = dataclasses.replace(real.summary, throughput=bw + 0.25)
+        validation = validate_bounds(spec, summary=doctored)
+        assert not validation.ok
+        assert any("ejection capacity" in v for v in validation.violations)
+
     def test_replays_result_store_entry(self, tmp_path):
         """A stored measurement is validated without re-simulating."""
         from repro.sim.checkpoint import ResultStore
