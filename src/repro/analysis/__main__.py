@@ -73,9 +73,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         topology=args.topology,
         pattern=args.pattern,
         config=_make_config(args),
-        lengths=("fixed", args.max_packet_length)
-        if args.fixed_length
-        else ("bimodal",),
     )
     report = compute_bounds(spec)
     if args.json:
@@ -129,11 +126,6 @@ def main(argv: list[str] | None = None) -> int:
     p_bounds.add_argument("design", help="design name, e.g. WBFC-1VC")
     _common_spec_args(p_bounds)
     p_bounds.add_argument("--pattern", default="UR", help="traffic pattern (UR, TP, BC, ...)")
-    p_bounds.add_argument(
-        "--fixed-length",
-        action="store_true",
-        help="use fixed max-size packets instead of the bimodal default",
-    )
     p_bounds.add_argument(
         "--expect-unsupported",
         action="store_true",

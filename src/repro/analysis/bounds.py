@@ -175,14 +175,12 @@ def _is_deterministic(network: "Network") -> bool:
 def compute_network_bounds(
     network: "Network",
     pattern_name: str,
-    lengths_spec: tuple = ("bimodal",),
     *,
     design_name: str = "",
     topology_name: str = "",
 ) -> BoundsReport:
     """Bounds for an already-built network (no simulator involved)."""
     from ..registry import topology_spec
-    from ..traffic.lengths import lengths_from_spec
     from ..traffic.patterns import make_pattern
 
     topo = network.topology
@@ -194,8 +192,6 @@ def compute_network_bounds(
     except ValueError:
         topo_label = type(topo).__name__
 
-    lengths = lengths_from_spec(tuple(lengths_spec))
-    lmax = lengths.max_length
     try:
         pattern = make_pattern(pattern_name, topo)
     except (ValueError, TypeError) as exc:
@@ -279,7 +275,7 @@ def compute_network_bounds(
     )
 
     assumptions = (
-        f"longest packet Lmax = {lmax} flits "
+        f"longest packet Lmax = {cfg.max_packet_length} flits "
         f"({'deterministic escape routing' if deterministic else 'minimal adaptive routing'})",
         "throughput bound assumes the offered traffic mix; above "
         "saturation the accepted mix may shift",
@@ -324,7 +320,6 @@ def compute_bounds(spec: "ScenarioSpec") -> BoundsReport:
     return compute_network_bounds(
         network,
         spec.pattern,
-        spec.lengths,
         design_name=spec.design,
         topology_name=spec.topology,
     )

@@ -69,7 +69,6 @@ _KERNEL_MODULES = (
     "core/flit_level.py",
     "sim/engine.py",
     "sim/soa.py",
-    "sim/kernels.py",
 )
 #: Builtins whose result is invariant under permutation of their (pure)
 #: iterable argument; a comprehension over a kernel set directly inside

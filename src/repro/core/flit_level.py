@@ -28,7 +28,6 @@ from ..network.buffers import InputVC, OutputVC
 from ..network.flit import Flit, Packet
 from ..network.switching import Switching
 from ..registry import FLOW_CONTROLS
-from ..sim.kernels import ALLOW, MARK, flit_injection_verdict
 from .colors import WBColor
 from .state import RingContext
 
@@ -116,18 +115,11 @@ class FlitLevelWBFC(FlowControl):
         black free *slots* (ML here is the longest packet, since worm-bubbles
         are single flits) and its injection rules never let the last marked
         slot be consumed, so one free flit entitlement survives any
-        injection.  Preconditions mirror ``validate()``, re-checked so the
-        certifier can score rings of a not-yet-validated configuration.
+        injection.
         """
         assert self.network is not None
-        cfg = self.network.config
-        ring = self.rings.get(ring_id)
-        if ring is None or cfg.switching is not Switching.WORMHOLE_NONATOMIC:
-            return None
-        ml = cfg.max_packet_length
-        slots = len(ring) * cfg.buffer_depth
-        if slots < ml + 1 or (len(ring) - 1) * cfg.buffer_depth < ml - 1:
-            return None
+        ml = self.ml[ring_id]
+        slots = len(self.rings[ring_id]) * self.network.config.buffer_depth
         return (
             f"flit-level WBFC Theorem 1: ring {ring_id} ({slots} flit "
             f"slots) keeps a marked slot alive (ML={ml}: 1 gray + "
@@ -166,28 +158,24 @@ class FlitLevelWBFC(FlowControl):
         mp = packet.length
         whites = self.whites(ovc)
         if mp == 1:
-            verdict = flit_injection_verdict(
-                whites, self.gray_slots[ivc], 1, 0, False, self.ml[ring_id]
-            )
-        else:
-            owner = self.marker_owner.get(key)
-            verdict = flit_injection_verdict(
-                whites,
-                self.gray_slots[ivc],
-                mp,
-                self.ci[key],
-                owner is not None and owner != packet.pid,
-                self.ml[ring_id],
-            )
-        if verdict == ALLOW:
-            return True
-        if verdict == MARK:
+            # Equation (5) over slots: a white, or the gray while ML > 1.
+            return whites >= 1 or (self.gray_slots[ivc] >= 1 and self.ml[ring_id] > 1)
+        owner = self.marker_owner.get(key)
+        if owner is not None and owner != packet.pid:
+            return False
+        ci = self.ci[key]
+        if whites >= 1:
+            # Equation (6), first clause; otherwise reserve a white slot.
+            if ci >= mp - 1:
+                return True
             self.black_slots[ivc] += 1
-            self.ci[key] += 1
+            self.ci[key] = ci + 1
             self.marker_owner[key] = packet.pid
             self._owned_keys[packet.pid] = key
             self.stats["marks"] += 1
-        return False
+            return False
+        # Equation (6), second clause: the gray slot with CI > 0.
+        return self.gray_slots[ivc] >= 1 and ci > 0
 
     # -- event notifications --------------------------------------------------------
 

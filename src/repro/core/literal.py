@@ -69,6 +69,12 @@ class PaperLiteralWBFC(WormBubbleFlowControl):
             return
         super().on_acquire(packet, ivc, in_ring, node, cycle)
 
+    def certify_ring_exempt(self, ring_id: str) -> str | None:
+        # Section 3 read literally has no marked-WB passage rule, so a long
+        # worm can destroy the last marked bubble: Theorem 1 does not hold
+        # and the ring's cycle stays in the CDG.
+        return None
+
     def pre_cycle(self, cycle: int) -> None:
         # Backward displacement only, as Section 3.6 describes.
         for buffers in self.ring_buffers.values():

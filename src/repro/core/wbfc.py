@@ -82,14 +82,6 @@ from ..network.flit import Packet
 from ..network.switching import Switching
 from ..registry import FLOW_CONTROLS
 from ..sim.config import NEVER
-from ..sim.kernels import (
-    ALLOW,
-    MARK,
-    displacement_pass,
-    idle_advance,
-    wbfc_injection_verdict,
-    wbfc_transit_allows,
-)
 from .colors import CODE_TO_COLOR, WBColor
 from .state import RingContext
 
@@ -97,6 +89,13 @@ __all__ = ["WormBubbleFlowControl"]
 
 _GRAY = WBColor.GRAY.code
 _BLACK = WBColor.BLACK.code
+
+
+def _self_heals(packet: Packet, ivc: InputVC, ctx: RingContext) -> bool:
+    """Marked-WB passage (module notes): the worm fits one buffer or its
+    tail is fully inside the ring, so a color it displaces re-appears on a
+    buffer that provably drains."""
+    return packet.length <= ivc.capacity or ctx.flits_entered >= packet.length
 
 
 class _CounterDict(dict):
@@ -123,6 +122,127 @@ class _CounterDict(dict):
         super().__setitem__(key, value)
 
 
+# -- worm-bubble displacement (Section 3.6) ----------------------------------
+#
+# Pure functions of a ring's packed (colors, worm-bubbles) vector: no RNG,
+# no wall clock; the only argument ever written is the memo dict handed to
+# ``idle_advance``.  ``pre_cycle`` and ``RingTokenLane.materialize`` apply
+# their results to the one live token state.
+
+
+def displacement_pass(k: int, color_key: int, bubble_mask: int) -> tuple:
+    """One proactive displacement pass (Section 3.6) as a pure function of
+    a ring's packed (colors, worm-bubbles) vector.
+
+    Returns ``(new_color_key, displacements, forward)``; the pass moved
+    tokens iff ``new_color_key != color_key``.  The caller memoizes per
+    distinct vector (``WormBubbleFlowControl._pass_memo``): a ring under
+    traffic revisits a small set of vectors, so the two O(k) scans below
+    amortize to one dict lookup per dirty lane per cycle.
+    """
+    # All-integer scan: color codes (WHITE=0, GRAY=1, BLACK=2) straight out
+    # of the packed key, bubbles as mask bits.
+    # Conditions are ordered cheapest-first; none has side effects, so the
+    # reordering relative to the ``moved`` gate cannot change the outcome.
+    codes = [(color_key >> (i + i)) & 3 for i in range(k)]
+    moved = 0
+    disp = fwd = 0
+    if 2 in codes:
+        for i in range(k):
+            j = i + 1 if i + 1 < k else 0
+            ci = codes[i]
+            if (
+                ci != 2
+                and codes[j] == 2
+                and (bubble_mask >> j) & 1
+                and (bubble_mask >> i) & 1
+            ):
+                bit = (1 << i) | (1 << j)
+                if moved & bit:
+                    continue
+                # Backward transfer: black drifts toward the injector that
+                # marked it, releasing its watch position.
+                codes[j] = ci
+                codes[i] = 2
+                moved |= bit
+                disp += 1
+    for i in range(k):
+        c = codes[i]
+        if not c:
+            continue
+        j = i + 1 if i + 1 < k else 0
+        if (
+            codes[j] == 0
+            and (bubble_mask >> i) & 1
+            and (bubble_mask >> j) & 1
+            and not (bubble_mask >> (i - 1 if i > 0 else k - 1)) & 1
+        ):
+            bit = (1 << i) | (1 << j)
+            if moved & bit:
+                continue
+            # Forward transfer (demand-driven): a worm too long to consume
+            # the marked bubble is blocked right behind it; swap the mark
+            # with the white ahead so the worm can advance into a plain
+            # bubble.
+            codes[i] = 0
+            codes[j] = c
+            moved |= bit
+            fwd += 1
+    new_key = 0
+    for i in range(k):
+        c = codes[i]
+        if c:
+            new_key |= c << (i + i)
+    return new_key, disp, fwd
+
+
+def idle_advance(k: int, color_key: int, n: int, cache: dict) -> tuple[int, int]:
+    """Advance an all-bubble ring's packed colors by ``n`` idle cycles.
+
+    On a ring whose every buffer is a worm-bubble the forward pass of
+    :func:`displacement_pass` cannot fire (it needs a non-bubble behind
+    the mark), so the colors follow a closed deterministic automaton:
+    ``n`` passes under a full bubble mask.  Returns ``(new_color_key,
+    displacements)`` without running them one by one: the first visit to
+    a state walks the automaton to its first repeat and memoizes, in
+    ``cache``, ``(k, state) -> (trajectory, position)`` for every state on
+    the walk.  A trajectory is ``(states, cum, first, close_moves)``: the
+    distinct states in order, the cumulative move counts, the index the
+    closing step returns to, and that step's moves.
+    """
+    hit = cache.get((k, color_key))
+    if hit is None:
+        full = (1 << k) - 1
+        states = [color_key]
+        cum = [0]
+        index = {color_key: 0}
+        while True:
+            nxt, moves, _fwd = displacement_pass(k, states[-1], full)
+            if nxt in index:
+                trajectory = (states, cum, index[nxt], moves)
+                break
+            index[nxt] = len(states)
+            states.append(nxt)
+            cum.append(cum[-1] + moves)
+        for pos, state in enumerate(states):
+            cache[(k, state)] = (trajectory, pos)
+        hit = (trajectory, 0)
+    (states, cum, first, close_moves), pos = hit
+    last = len(states) - 1
+    target = pos + n
+    if target <= last:
+        return states[target], cum[target] - cum[pos]
+    # Walk pos -> last, take the closing step back to ``first``, then wrap
+    # the remainder around the cycle.
+    period = last - first + 1
+    period_moves = cum[last] - cum[first] + close_moves
+    laps, rem = divmod(target - last - 1, period)
+    new_pos = first + rem
+    moves = cum[last] - cum[pos] + close_moves
+    moves += laps * period_moves + (cum[new_pos] - cum[first])
+    return states[new_pos], moves
+
+
 class RingTokenLane:
     """One ring's token ledger: the only home of its worm-bubble colors.
 
@@ -130,11 +250,13 @@ class RingTokenLane:
     ``InputVC.color`` is a view of it and the scheme's hooks read and
     write it directly, under either engine.  Beside it sit the ring's
     worm-bubble mask and occupancy count, and the deferred rotation of a
-    fully idle ring (all worm-bubbles): while a ring is idle its colors
-    evolve as a closed deterministic automaton, so ``pre_cycle`` merely
-    counts the steps it owes (``pending``) and every reader settles them
-    first — ``materialize`` fast-forwards the key exactly through
-    :func:`~repro.sim.kernels.idle_advance` (memoized trajectories with
+    fully idle ring (all worm-bubbles).  ``(key, bubble_mask)`` is the
+    whole input of Section 3.6's displacement: on an occupied ring
+    ``pre_cycle`` applies :func:`displacement_pass` to it; while a ring is
+    idle its colors evolve as a closed deterministic automaton, so
+    ``pre_cycle`` merely counts the steps it owes (``pending``) and every
+    reader settles them first — ``materialize`` fast-forwards the key
+    exactly through :func:`idle_advance` (memoized trajectories with
     period detection, shared across rings) and credits the skipped
     displacements to the stats dict.  Cost is O(period) once per distinct
     start state, independent of how long the ring stayed idle.
@@ -368,16 +490,12 @@ class WormBubbleFlowControl(FlowControl):
         worm-bubbles and its injection rules (Equations 5/6) never let the
         last marked bubble be consumed, so at least one empty escape
         buffer entitlement survives any injection and the ring always
-        internally drains.  The guarantee needs the structural
-        precondition ``validate()`` enforces — re-checked here so the
-        certifier can score rings of a not-yet-validated configuration.
+        internally drains.
         """
-        ml = self._ml()
-        ring = self.rings.get(ring_id)
-        if ring is None or len(ring) < max(ml + 1, 2):
-            return None
+        ml = self.ml[ring_id]
+        k = len(self.rings[ring_id])
         return (
-            f"WBFC Theorem 1: ring {ring_id} (len {len(ring)}) keeps a "
+            f"WBFC Theorem 1: ring {ring_id} (len {k}) keeps a "
             f"marked worm-bubble alive (ML={ml}: 1 gray + {ml - 1} black)"
         )
 
@@ -424,21 +542,20 @@ class WormBubbleFlowControl(FlowControl):
         if in_ring:
             # Equation (4): a same-ring move needs the empty buffer the
             # caller already verified — plus the marked-WB passage rule
-            # (see module notes), evaluated by the transit kernel.
+            # (see module notes) when the target is marked.
             if not code:
                 # WHITE target, the common case: admitted unconditionally.
                 return True
             ctx = packet.current_ctx
             if ctx is None:
-                return wbfc_transit_allows(code, False, 0, False, 0, 0, 0)
-            return wbfc_transit_allows(
-                code,
-                True,
-                ctx.ch,
-                ctx.gray_entitled,
-                packet.length,
-                ivc.capacity,
-                ctx.flits_entered,
+                return False
+            # GRAY: an in-transit grab, conserved.  BLACK: unmark it
+            # (CH > 0), ride the gray entitlement, or self-heal.
+            return (
+                code == _GRAY
+                or ctx.ch > 0
+                or ctx.gray_entitled
+                or _self_heals(packet, ivc, ctx)
             )
         key = (node, ring_id)
         self._last_request[key] = cycle
@@ -447,36 +564,35 @@ class WormBubbleFlowControl(FlowControl):
         # injection attempt.
         mp = self._mp_by_length[packet.length]
         if mp == 1:
-            # Short packets never touch the shared counter, so a long
-            # packet's marker ownership does not gate them and CI is not
-            # even read (the key may be unranked under direct test pokes).
-            verdict = wbfc_injection_verdict(
-                code, 1, 0, False, self.ml[ring_id], self.black_reentry
-            )
-        else:
-            owner = self.marker_owner.get(key)
-            verdict = wbfc_injection_verdict(
-                code,
-                mp,
-                self.ci[key],
-                owner is not None and owner != packet.pid,
-                self.ml[ring_id],
-                self.black_reentry,
-            )
-        if verdict == ALLOW:
-            return True
-        if verdict == MARK:
-            # Step 2: reserve — mark the white WB black, claim the counter.
+            # Equation (5): any non-black WB (gray only while ML > 1, see
+            # module notes).  Short packets never touch the shared counter,
+            # so a long packet's marker ownership does not gate them.
+            return not code or (code == _GRAY and self.ml[ring_id] > 1)
+        owner = self.marker_owner.get(key)
+        if owner is not None and owner != packet.pid:
+            return False
+        ci = self.ci[key]
+        if not code:
+            # Equation (6), first clause: enough reservations and a white.
+            if ci >= mp - 1:
+                return True
+            # Step 2: reserve — mark the white WB black, claim the counter,
+            # and deny this attempt.
             lane.key += _BLACK << shift
             lane.dirty = True
-            self.ci[key] += 1
+            self.ci[key] = ci + 1
             self.marker_owner[key] = packet.pid
             self._owned_keys[packet.pid] = key
             self._stats_dict["marks"] += 1
             if self.probes.active:
                 self.probes.wb_color(ivc, WBColor.WHITE, WBColor.BLACK, "mark")
                 self.probes.ci_update(node, ring_id, 1, "mark")
-        return False
+            return False
+        if code == _GRAY:
+            # Equation (6), second clause: the gray token with CI > 0.
+            return ci > 0
+        # Black re-entry (module notes): CI covers this WB and Mp - 1 more.
+        return self.black_reentry and ci >= mp
 
     # -- event notifications -----------------------------------------------------
 
@@ -511,10 +627,7 @@ class WormBubbleFlowControl(FlowControl):
                     if probes:
                         probes.fc_event("wbfc_black_debt", ivc.ring_id)
             elif code == _GRAY:
-                if (
-                    packet.length <= ivc.capacity
-                    or ctx.flits_entered >= packet.length
-                ):
+                if _self_heals(packet, ivc, ctx):
                     # Self-healing worm: displace the gray backward as
                     # debt; the token stays an *empty* bubble one
                     # worm-length later (essential when ML == 1 and the
@@ -720,16 +833,11 @@ class WormBubbleFlowControl(FlowControl):
         only neighbouring-router wiring (as for wbt) is needed.
         """
         ci_map = self.ci
-        order = self._ci_order
+        # Visit only nonzero entries, in the exact rank order a full
+        # insertion-order scan would have reached them (every key is
+        # ranked by ``initialize_state``).
         keys = ci_map.nonzero_keys  # type: ignore[attr-defined]
-        if keys <= order.keys():
-            # Visit only nonzero entries, in the exact rank order a full
-            # insertion-order scan would have reached them.
-            scan = sorted(keys, key=order.__getitem__)
-        else:
-            # Unranked key present (e.g. tests poking ``fc.ci`` directly
-            # without ``attach``): fall back to the full ordered scan.
-            scan = [key for key, value in ci_map.items() if value]
+        scan = sorted(keys, key=self._ci_order.__getitem__)
         drifts: list[tuple[tuple[int, str], tuple[int, str]]] = []
         for key in scan:
             ci = ci_map[key]

@@ -215,9 +215,10 @@ class FlowControl(ABC):
 
         Return ``None`` when no such guarantee exists: the ring's cycle
         stays in the CDG and, unless broken by VC classes (Dateline), the
-        configuration is rejected.  Implementations must re-check their
-        structural preconditions (ring length, buffer depth) rather than
-        assume ``validate()`` ran.
+        configuration is rejected.  The hook is called only on attached
+        networks, whose ``validate()`` has already enforced the scheme's
+        preconditions (switching mode, ring length, buffer depth), so an
+        implementation states only the theorem it relies on.
         """
         return None
 

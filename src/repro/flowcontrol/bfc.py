@@ -45,12 +45,6 @@ class LocalizedBubbleFlowControl(FlowControl):
         """Localized BFC: every injection provably leaves one whole-packet
         bubble in the ring (the two-bubble local condition), so the ring
         always internally drains — the original BFC theorem."""
-        assert self.network is not None
-        cfg = self.network.config
-        if cfg.switching is not Switching.VCT:
-            return None
-        if cfg.buffer_depth < 2 * cfg.max_packet_length or ring_id not in self.rings:
-            return None
         return (
             f"BFC theorem: ring {ring_id} keeps >= 1 packet-sized bubble "
             "(localized two-bubble injection condition)"

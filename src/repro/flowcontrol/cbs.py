@@ -85,24 +85,10 @@ class CriticalBubbleScheme(FlowControl):
 
     def certify_ring_exempt(self, ring_id: str) -> str | None:
         """CBS keeps one critical bubble per ring that injections never eat."""
-        assert self.network is not None
-        cfg = self.network.config
-        bubble = self.bubble_flits
-        if bubble is None:
-            bubble = (
-                cfg.max_packet_length
-                if cfg.switching is Switching.VCT
-                else 1
-            )
-        if cfg.switching is Switching.WORMHOLE_ATOMIC:
-            return None
-        if cfg.buffer_depth < max(bubble, cfg.max_packet_length):
-            return None  # validate()'s depth rules
-        if ring_id not in self.rings:
-            return None
         return (
-            f"CBS: ring {ring_id} always retains its {bubble}-flit critical "
-            "bubble (injections must leave it; transit displaces it backward)"
+            f"CBS: ring {ring_id} always retains its {self.bubble_flits}-flit "
+            "critical bubble (injections must leave it; transit displaces it "
+            "backward)"
         )
 
     # -- rules -----------------------------------------------------------------

@@ -380,9 +380,23 @@ class Network:
             self._ejections[when] = list(events)
         # After the buffers: the scheme recounts lane occupancy from them.
         self.flow_control.restore_state(state["flow_control"])
-        # Rebuild the derived active-set indices from restored ground truth.
+        self.rebuild_stage_sets()
+        self._pending_nic_nodes = {nic.node for nic in self.nics if nic.queue}
+
+    def rebuild_stage_sets(self) -> None:
+        """Recount every router's stage sets and ``phase_routers`` from the
+        buffers' states, after a restore or an engine flush wrote those
+        states without the incremental bookkeeping."""
         rc, va, sa = set(), set(), set()
         for router in self.routers:
+            (
+                router._routing_vcs,
+                router._waiting_va_vcs,
+                router._active_vcs,
+            ) = router.recount_stage_sets()
+            router._sorted_routing = None
+            router._sorted_waiting = None
+            router._sorted_active = None
             if router._routing_vcs:
                 rc.add(router.node)
             if router._waiting_va_vcs:
@@ -390,7 +404,6 @@ class Network:
             if router._active_vcs:
                 sa.add(router.node)
         self.phase_routers = (rc, va, sa)
-        self._pending_nic_nodes = {nic.node for nic in self.nics if nic.queue}
 
     def recount_occupancy(self) -> dict[str, int]:
         """Recompute ``occupancy_snapshot`` exhaustively from the buffers."""

@@ -201,7 +201,7 @@ class Router:
 
     def snapshot_state(self) -> dict:
         """Buffers, credit mirrors and arbiter pointers; stage sets are
-        derived state and recomputed on restore."""
+        derived state, recomputed by ``Network.rebuild_stage_sets``."""
         return {
             "inputs": [
                 [ivc.snapshot_state() for ivc in port_list]
@@ -233,12 +233,6 @@ class Router:
             arb._ptr = ptr
         for arb, ptr in zip(self._sa_output_arbiters, state["sa_out_ptrs"]):
             arb._ptr = ptr
-        self._routing_vcs, self._waiting_va_vcs, self._active_vcs = (
-            self.recount_stage_sets()
-        )
-        self._sorted_routing = None
-        self._sorted_waiting = None
-        self._sorted_active = None
 
     # -- pipeline stages ------------------------------------------------------
 

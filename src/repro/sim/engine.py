@@ -119,33 +119,22 @@ class Simulator:
             self._advance(end)
         return self.cycle
 
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        max_cycles: int,
-        *,
-        monotone: bool = True,
-    ) -> bool:
+    def run_until(self, predicate: Callable[[], bool], max_cycles: int) -> bool:
         """Run until ``predicate()`` holds; False if ``max_cycles`` elapsed.
 
-        With ``monotone=True`` (default) the predicate is re-checked only
-        at *wake points* — cycles the event-horizon scheduler actually
-        ticks.  That is exact for predicates that cannot flip on a fully
-        quiescent network (nothing they could observe changes inside a
-        skipped span): occupancy predicates like :meth:`drain`'s, ejection
-        counts, workload completion.  A predicate reading ``self.cycle``
-        or other time-derived state may flip mid-span; pass
-        ``monotone=False`` to force a per-cycle check (and per-cycle
-        ticking while quiescent).
+        The predicate is re-checked only at *wake points* — cycles the
+        event-horizon scheduler actually ticks.  That is exact for
+        predicates that cannot flip on a fully quiescent network (nothing
+        they could observe changes inside a skipped span): occupancy
+        predicates like :meth:`drain`'s, ejection counts, workload
+        completion.  A predicate reading ``self.cycle`` or other
+        time-derived state may flip mid-span and be seen late.
         """
         deadline = self.cycle + max_cycles
         while self.cycle < deadline:
             if predicate():
                 return True
-            if monotone:
-                self._advance(deadline)
-            else:
-                self._tick()
+            self._advance(deadline)
         return predicate()
 
     def drain(self, max_cycles: int = 200_000) -> bool:

@@ -415,23 +415,7 @@ class SoAEngine(Simulator):
                 arb._ptr = self._sa_in[base + port]
             for port, arb in enumerate(router._sa_output_arbiters):
                 arb._ptr = self._sa_out[base + port]
-            (
-                router._routing_vcs,
-                router._waiting_va_vcs,
-                router._active_vcs,
-            ) = router.recount_stage_sets()
-            router._sorted_routing = None
-            router._sorted_waiting = None
-            router._sorted_active = None
-        rc, va, sa = set(), set(), set()
-        for router in net.routers:
-            if router._routing_vcs:
-                rc.add(router.node)
-            if router._waiting_va_vcs:
-                va.add(router.node)
-            if router._active_vcs:
-                sa.add(router.node)
-        net.phase_routers = (rc, va, sa)
+        net.rebuild_stage_sets()
         self.inner.cycle = self.cycle
 
     # -- checkpoint/restore ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Analytic bound engine: static saturation bounds."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -75,6 +76,14 @@ class TestSupportedDesigns:
             "assumptions", "exempt_rings", "saturation_injection_rate",
             "saturation_throughput", "generation_rate", "bottleneck",
         }
+
+    def test_packet_lengths_do_not_move_the_bound(self):
+        """The bound reads the network's config, not the length mix: a
+        spec differing only in ``lengths`` gets the same report."""
+        fixed = dataclasses.replace(_spec("WBFC-1VC"), lengths=("fixed", 1))
+        assert compute_bounds(fixed).to_dict() == compute_bounds(
+            _spec("WBFC-1VC")
+        ).to_dict()
 
     def test_deterministic_recomputation(self):
         a = compute_bounds(_spec("WBFC-2VC"))

@@ -5,8 +5,11 @@ import pytest
 from repro.analysis.cdg import EscapeChannel, build_cdg
 from repro.analysis.certify import certify, certify_network
 from repro.analysis.scc import find_cycle, strongly_connected_components
+from repro.core.literal import PaperLiteralWBFC
 from repro.experiments.designs import PAPER_DESIGNS, build_network
+from repro.network.network import Network
 from repro.network.switching import Switching
+from repro.registry import ROUTINGS, parse_topology
 from repro.sim.config import SimulationConfig
 from repro.sim.deadlock import Watchdog
 from repro.sim.engine import Simulator
@@ -108,6 +111,25 @@ class TestVerdicts:
         assert len(rings) == 1
         assert cert.witness_traffic
         assert "witness cycle" in cert.report()
+
+    @pytest.mark.parametrize("topology", ["ring:8", "torus:4x4"])
+    def test_paper_literal_wbfc_rejected_with_ring_witness(self, topology):
+        """Section 3 read literally has no marked-WB passage rule, so
+        Theorem 1 does not hold for the control that wedges: no ring is
+        exempt and the witness is a wait cycle around one ring."""
+        topo = parse_topology(topology)
+        net = Network(
+            topo,
+            ROUTINGS.create(topo.default_routing, topo),
+            PaperLiteralWBFC(),
+            SimulationConfig(num_vcs=1),
+        )
+        cert = certify_network(net)
+        assert not cert.ok, cert.report()
+        assert not cert.exempt_rings
+        assert len(cert.witness) >= 2 and cert.witness_traffic
+        rings = {label.split("ring=")[-1] for label in cert.witness}
+        assert len(rings) == 1
 
     def test_unrestricted_certifies_on_ring_free_mesh(self):
         cert = certify("UNRESTRICTED-1VC", Mesh((4, 4)))

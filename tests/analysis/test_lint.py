@@ -111,7 +111,7 @@ class TestSetIterationRule:
         as the object engine's."""
         src = "def f(self):\n    for i in self._va:\n        pass\n"
         assert rules(src, rel="repro/sim/soa.py") == ["set-iteration"]
-        assert rules(src, rel="repro/sim/kernels.py") == ["set-iteration"]
+        assert rules(src, rel="repro/core/wbfc.py") == ["set-iteration"]
         assert rules(
             "def f(self):\n    for i in sorted(self._sa):\n        pass\n",
             rel="repro/sim/soa.py",

@@ -102,7 +102,7 @@ class TestLocalizedBFC:
         cert = certify_network(net)
         assert cert.ok and set(cert.exempt_rings) == set(fc.rings)
         assert all("BFC theorem" in why for why in cert.exempt_rings.values())
-        report = compute_network_bounds(net, "UR", ("fixed", 5))
+        report = compute_network_bounds(net, "UR")
         assert report.supported and report.exempt_rings == cert.exempt_rings
         with pytest.raises(ValueError, match="two max-size packets"):
             vct_net(LocalizedBubbleFlowControl(), 9)

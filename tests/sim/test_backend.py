@@ -19,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.wbfc import displacement_pass, idle_advance
 from repro.experiments.designs import build_network
 from repro.network.switching import Switching
 from repro.registry import ENGINE_BACKENDS
 from repro.sim.config import SimulationConfig
 from repro.sim.deadlock import Watchdog
 from repro.sim.engine import Simulator
-from repro.sim.kernels import displacement_pass, idle_advance
 from repro.sim.spec import ScenarioSpec, execute, prepare
 from repro.telemetry.probes import PROBE_EVENTS, ProbeBus, ProbeSink
 
@@ -35,14 +35,12 @@ from .test_event_horizon import count_ticks
 
 def test_soa_restates_no_flow_control_rule():
     """``soa`` reaches the rules only through the scheme's hooks: none of
-    the verdict/displacement kernels or token types is even in scope
-    there, so a rule cannot be quietly re-transcribed."""
+    the displacement functions, passage rule or token types is even in
+    scope there, so a rule cannot be quietly re-transcribed."""
     import repro.sim.soa as soa
 
     for name in (
-        "wbfc_transit_allows",
-        "wbfc_injection_verdict",
-        "flit_injection_verdict",
+        "_self_heals",
         "displacement_pass",
         "idle_advance",
         "WBColor",

@@ -247,20 +247,12 @@ def _resume_measured(prepared, measure):
 
 class TestRunUntilWakePoints:
     def test_monotone_predicate_checked_at_wake_points_only(self):
-        # A time-derived predicate can flip mid-span; with monotone=True
-        # the engine only looks at wake points, so it may sail past the
-        # target — exactly what the contract documents.
+        # A time-derived predicate can flip mid-span; the engine only
+        # looks at wake points, so it may sail past the target — exactly
+        # what the contract documents.
         spec = spec_for("WBFC-2VC", injection_rate=0.0)
         prepared = prepare(spec)
         sim = prepared.simulator
         target = sim.cycle + 123
-        hit = sim.run_until(lambda: sim.cycle == target, 1000, monotone=True)
+        hit = sim.run_until(lambda: sim.cycle == target, 1000)
         assert not hit and sim.cycle == target + 877  # ran to the deadline
-
-    def test_non_monotone_forces_per_cycle_checks(self):
-        spec = spec_for("WBFC-2VC", injection_rate=0.0)
-        prepared = prepare(spec)
-        sim = prepared.simulator
-        target = sim.cycle + 123
-        hit = sim.run_until(lambda: sim.cycle == target, 1000, monotone=False)
-        assert hit and sim.cycle == target
